@@ -1,24 +1,23 @@
 //! Lock-free telemetry for the serving stack: atomic counters and gauges,
-//! log₂-bucket latency histograms, a deterministic [`Clock`], a typed
-//! [`Registry`], and the shared Prometheus text-exposition helpers every
-//! layer renders through.
+//! log₂-bucket latency histograms, a deterministic [`Clock`], and the
+//! shared Prometheus text-exposition helpers every layer renders through.
 //!
 //! # Design
 //!
-//! * **Zero dependencies, zero locks on the hot path.** Every metric is
-//!   plain `std` atomics; recording is wait-free and `&self`, so shard
-//!   workers and connection threads share one metric without
-//!   coordination. (The [`Registry`] takes a mutex at *registration*
-//!   time only — reads and writes of the metrics themselves never lock.)
+//! * **Zero dependencies, zero locks.** Every metric is plain `std`
+//!   atomics; recording is wait-free and `&self`, so shard workers and
+//!   connection threads share one metric without coordination.
 //! * **Histograms are mergeable.** [`HistogramSnapshot::merge`] is
 //!   associative and commutative, so per-shard/per-client histograms
 //!   aggregate in any order — see [`histogram`] for bucket layout and the
 //!   quantile error bound.
 //! * **Time is injected.** Instrumented code reads a [`Clock`] handed to
 //!   it: monotonic in production, manually stepped in deterministic
-//!   tests, disabled when a bench wants the uninstrumented baseline. The
-//!   etsc-lint `determinism` rule pins [`clock`] as the workspace's only
-//!   ambient-clock call site.
+//!   tests, disabled when a bench wants the uninstrumented baseline.
+//!   Clippy's `disallowed_methods` (the workspace `clippy.toml`) bans
+//!   ambient clocks; the two `#[expect]`ed exceptions in library code
+//!   are [`clock`] and the trace exporter's export stamp
+//!   ([`crate::trace::export`]).
 //! * **One exposition dialect.** [`push_scalar`], [`push_histogram`], and
 //!   [`push_histogram_series`] are the only code that formats Prometheus
 //!   text (version 0.0.4); `etsc-serve` and `etsc-net` both delegate here,
@@ -35,12 +34,9 @@ pub mod histogram;
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 pub use clock::Clock;
-pub use histogram::{
-    BucketLayout, Histogram, HistogramSnapshot, LayoutMismatch, BUCKETS, LOG_LINEAR4_BUCKETS,
-};
+pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -99,115 +95,6 @@ impl Gauge {
     }
 }
 
-/// The shared handle type a [`Registry`] hands out.
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-#[derive(Debug)]
-struct Entry {
-    name: String,
-    help: String,
-    metric: Metric,
-}
-
-/// A typed metric registry: register once, record everywhere, render all.
-///
-/// Registration is idempotent — asking for a name that already exists
-/// returns a handle to the *same* metric (so two subsystems can share
-/// `"requests_total"` without coordinating), provided the kinds agree; a
-/// kind mismatch returns a fresh detached metric that records fine but is
-/// not rendered, so a naming collision degrades to a missing series
-/// rather than a panic or corrupted exposition.
-///
-/// Handles are `Arc`s: recording never touches the registry (or its
-/// registration mutex) again.
-#[derive(Debug, Default)]
-pub struct Registry {
-    entries: Mutex<Vec<Entry>>,
-}
-
-impl Registry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn find(&self, name: &str) -> Option<Metric> {
-        let entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.metric.clone())
-    }
-
-    fn insert(&self, name: &str, help: &str, metric: Metric) {
-        let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        entries.push(Entry {
-            name: name.to_string(),
-            help: help.to_string(),
-            metric,
-        });
-    }
-
-    /// Register (or look up) a counter named `name`.
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        match self.find(name) {
-            Some(Metric::Counter(c)) => c,
-            Some(_) => Arc::new(Counter::new()),
-            None => {
-                let c = Arc::new(Counter::new());
-                self.insert(name, help, Metric::Counter(c.clone()));
-                c
-            }
-        }
-    }
-
-    /// Register (or look up) a gauge named `name`.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        match self.find(name) {
-            Some(Metric::Gauge(g)) => g,
-            Some(_) => Arc::new(Gauge::new()),
-            None => {
-                let g = Arc::new(Gauge::new());
-                self.insert(name, help, Metric::Gauge(g.clone()));
-                g
-            }
-        }
-    }
-
-    /// Register (or look up) a histogram named `name`.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        match self.find(name) {
-            Some(Metric::Histogram(h)) => h,
-            Some(_) => Arc::new(Histogram::new()),
-            None => {
-                let h = Arc::new(Histogram::new());
-                self.insert(name, help, Metric::Histogram(h.clone()));
-                h
-            }
-        }
-    }
-
-    /// Render every registered metric in Prometheus text exposition
-    /// format, in registration order.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
-        for e in entries.iter() {
-            match &e.metric {
-                Metric::Counter(c) => push_scalar(&mut out, &e.name, &e.help, "counter", c.get()),
-                Metric::Gauge(g) => push_scalar(&mut out, &e.name, &e.help, "gauge", g.get()),
-                Metric::Histogram(h) => push_histogram(&mut out, &e.name, &e.help, &h.snapshot()),
-            }
-        }
-        out
-    }
-}
-
 /// Append one scalar metric — a `# HELP`/`# TYPE` preamble plus an
 /// unlabelled sample — in Prometheus text exposition format. `kind` is
 /// the exposition type (`"counter"` or `"gauge"`). The single formatting
@@ -253,7 +140,7 @@ pub fn push_histogram_series(
         if let Some(highest) = snap.highest_bucket() {
             for (i, &c) in snap.buckets.iter().enumerate().take(highest + 1) {
                 cumulative = cumulative.saturating_add(c);
-                let ub = snap.upper_bound(i);
+                let ub = HistogramSnapshot::bucket_upper_bound(i);
                 let _ = writeln!(out, "{name}_bucket{{{prefix}le=\"{ub}\"}} {cumulative}");
             }
         }
@@ -271,39 +158,6 @@ pub fn push_histogram_series(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_is_idempotent_and_renders_in_registration_order() {
-        let reg = Registry::new();
-        let c = reg.counter("requests_total", "Requests served.");
-        let c2 = reg.counter("requests_total", "Requests served.");
-        c.add(3);
-        c2.inc();
-        assert_eq!(c.get(), 4, "both handles hit the same counter");
-        let g = reg.gauge("depth", "Queue depth.");
-        g.set(7);
-        g.record_max(5);
-        assert_eq!(g.get(), 7);
-        let h = reg.histogram("latency_ns", "Latency.");
-        h.record(900);
-        let text = reg.render_prometheus();
-        let c_at = text.find("requests_total 4").expect("counter sample");
-        let g_at = text.find("depth 7").expect("gauge sample");
-        let h_at = text.find("latency_ns_count 1").expect("histogram count");
-        assert!(c_at < g_at && g_at < h_at, "registration order:\n{text}");
-    }
-
-    #[test]
-    fn kind_mismatch_degrades_to_a_detached_metric() {
-        let reg = Registry::new();
-        let c = reg.counter("m", "help");
-        c.inc();
-        let g = reg.gauge("m", "help");
-        g.set(99);
-        let text = reg.render_prometheus();
-        assert!(text.contains("m 1"), "original counter still rendered");
-        assert!(!text.contains("m 99"), "detached gauge not rendered");
-    }
 
     #[test]
     fn histogram_exposition_is_cumulative_and_capped_by_inf() {

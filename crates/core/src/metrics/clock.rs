@@ -6,11 +6,12 @@
 //! invariants the e2e suites enforce:
 //!
 //! * **Determinism** — alarm *content* never consumes a clock value, and
-//!   the etsc-lint `determinism` rule bans ambient clocks everywhere
-//!   except this module: `Clock::monotonic()` is the single sanctioned
-//!   `Instant::now` site in the workspace. Tests and fault-injection
-//!   harnesses use [`Clock::manual`], stepping time explicitly, so a
-//!   timing-instrumented run replays bit-identically.
+//!   clippy's `disallowed_methods` (the workspace `clippy.toml`) bans
+//!   ambient clocks outside the benchmarks. `Clock::monotonic()` is one of
+//!   the two `#[expect]`ed library sites; the other is the trace
+//!   exporter's wall-clock stamp ([`crate::trace::export`]). Tests and
+//!   fault-injection harnesses use [`Clock::manual`], stepping time
+//!   explicitly, so a timing-instrumented run replays bit-identically.
 //! * **Zero interference** — [`Clock::disabled`] turns every `now_ns`
 //!   read into a constant, letting benches A/B the cost of the
 //!   instrumentation itself (the serve bench asserts it under 5%).
@@ -49,13 +50,16 @@ impl Default for Clock {
 impl Clock {
     /// A monotonic production clock reading real elapsed nanoseconds.
     ///
-    /// This constructor is the workspace's one sanctioned ambient-clock
-    /// call site (see the [module docs](self)).
+    /// This constructor is the library's one `Instant::now` call site
+    /// (see the [module docs](self)).
     pub fn monotonic() -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "determinism: the clock every instrumented layer is handed; alarms never read it"
+        )]
+        let origin = Instant::now();
         Self {
-            inner: Inner::Monotonic {
-                origin: Instant::now(),
-            },
+            inner: Inner::Monotonic { origin },
         }
     }
 

@@ -1,28 +1,24 @@
-//! Fixed-bucket latency histograms: lock-free O(1) recording, cheap
-//! quantile readout, and associative merging across shards and threads —
-//! in two bucket layouts, coarse log₂ (the default) and SLO-grade
-//! log-linear.
+//! Fixed-bucket log₂-scale histograms: lock-free O(1) recording, cheap
+//! quantile readout, and associative merging across shards and threads.
 //!
-//! # Bucket layouts
+//! # Bucket layout
 //!
-//! **[`BucketLayout::Log2`]** (default): [`BUCKETS`] (= 64) slots. Bucket
-//! 0 holds the value `0`; bucket `i` (for `1 ≤ i < 63`) holds the values
-//! whose highest set bit is bit `i - 1`, i.e. the half-open power-of-two
-//! range `[2^(i-1), 2^i)`; the last bucket is the **overflow bucket**,
-//! holding everything from `2^62` up to `u64::MAX`. A value lands in its
-//! bucket with one `leading_zeros` instruction — recording is O(1),
-//! branch-light, and touches exactly two relaxed atomics (bucket slot and
-//! sum). A reported quantile is the upper bound of the bucket holding the
-//! rank, so it never understates and overshoots by at most 2×.
+//! A [`Histogram`] has [`BUCKETS`] (= 64) slots. Bucket 0 holds the value
+//! `0`; bucket `i` (for `1 ≤ i < 63`) holds the values whose highest set
+//! bit is bit `i - 1`, i.e. the half-open power-of-two range
+//! `[2^(i-1), 2^i)`; the last bucket is the **overflow bucket**, holding
+//! everything from `2^62` up to `u64::MAX`. A value lands in its bucket
+//! with one `leading_zeros` instruction — recording is O(1), branch-light,
+//! and touches exactly two relaxed atomics (bucket slot and sum).
 //!
-//! **[`BucketLayout::LogLinear4`]** (opt-in, via
-//! [`Histogram::with_layout`]): every octave is split into 4 linear
-//! sub-buckets (250 slots total), cutting the worst-case quantile
-//! overshoot from 2× to 1.25× — ≈1.19× (2^¼) in the geometric mean across
-//! a sub-bucket — at the cost of ~4× the (still fixed, still small)
-//! bucket memory. Recording stays O(1): one `leading_zeros` plus two
-//! shifts. Use it for SLO-grade series where the 2× log₂ error is
-//! dashboard-visible; the default stays log₂ everywhere.
+//! The inclusive upper bound of bucket `i` is therefore `2^i - 1`
+//! (`u64::MAX` for the overflow bucket) — see
+//! [`HistogramSnapshot::bucket_upper_bound`]. Quantiles read from a
+//! snapshot return the upper bound of the bucket containing the requested
+//! rank, so a reported quantile is an upper bound on the true value with
+//! at most 2× relative error — the standard log₂-histogram trade: fixed
+//! memory (64 slots, 512 bytes per histogram) and wait-free writes in
+//! exchange for coarse (but monotone) quantiles.
 //!
 //! # Merge semantics
 //!
@@ -33,12 +29,6 @@
 //! order — or tree-reduced — and produce the same totals. The property
 //! suite in `crates/core/tests/proptests.rs` pins this down.
 //!
-//! Merging is only defined between snapshots of the **same layout**:
-//! bucket `i` means different value ranges under different layouts, so
-//! cross-layout addition would silently corrupt quantiles. `merge`
-//! therefore refuses layout mismatches with a typed
-//! [`LayoutMismatch`] error instead of guessing.
-//!
 //! The live `sum` is a relaxed `fetch_add` and therefore *wraps* if the
 //! running total ever exceeds `u64::MAX` — unreachable in the intended
 //! regime (a `u64` of nanoseconds is ~584 years; a `u64` of bytes is
@@ -48,112 +38,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of bucket slots in a [`BucketLayout::Log2`] histogram (one per
-/// power of two of a `u64`, plus the zero bucket folded into slot 0 and
-/// the overflow values folded into the last slot).
+/// Number of bucket slots in a [`Histogram`] (one per power of two of a
+/// `u64`, plus the zero bucket folded into slot 0 and the overflow values
+/// folded into the last slot).
 pub const BUCKETS: usize = 64;
 
-/// Slots in a [`BucketLayout::LogLinear4`] histogram: the zero bucket,
-/// 4 linear sub-buckets for each of the 62 middle octaves, and the
-/// overflow bucket.
-pub const LOG_LINEAR4_BUCKETS: usize = 1 + 62 * 4 + 1;
-
-/// How a [`Histogram`] maps values to bucket slots. See the
-/// [module docs](self) for both layouts and their quantile error bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BucketLayout {
-    /// One bucket per power of two — 64 slots, ≤2× quantile overshoot.
-    /// The workspace default.
-    #[default]
-    Log2,
-    /// Four linear sub-buckets per octave — 250 slots, ≤1.25× worst-case
-    /// (~1.19× geometric-mean) quantile overshoot. Opt-in for SLO-grade
-    /// series.
-    LogLinear4,
-}
-
-impl BucketLayout {
-    /// Stable lowercase name (for error messages and report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            BucketLayout::Log2 => "log2",
-            BucketLayout::LogLinear4 => "log_linear4",
-        }
-    }
-
-    /// Number of bucket slots this layout uses.
-    pub const fn bucket_count(self) -> usize {
-        match self {
-            BucketLayout::Log2 => BUCKETS,
-            BucketLayout::LogLinear4 => LOG_LINEAR4_BUCKETS,
-        }
-    }
-
-    /// Bucket index for a value under this layout. O(1): a
-    /// `leading_zeros` plus (for log-linear) two shifts.
-    #[inline]
-    pub fn bucket_index(self, value: u64) -> usize {
-        match self {
-            BucketLayout::Log2 => {
-                if value == 0 {
-                    0
-                } else {
-                    ((64 - value.leading_zeros()) as usize).min(BUCKETS - 1)
-                }
-            }
-            BucketLayout::LogLinear4 => {
-                if value == 0 {
-                    return 0;
-                }
-                let octave = (64 - value.leading_zeros()) as usize;
-                if octave > 62 {
-                    return LOG_LINEAR4_BUCKETS - 1;
-                }
-                let lo = 1u64 << (octave - 1);
-                let off = value - lo;
-                // floor(4·off / lo) without division: off < lo = 2^(o-1).
-                let sub = if octave >= 3 {
-                    (off >> (octave - 3)) as usize
-                } else {
-                    (off << (3 - octave)) as usize
-                }
-                .min(3);
-                1 + (octave - 1) * 4 + sub
-            }
-        }
-    }
-
-    /// Inclusive upper bound of bucket `i` under this layout (the value a
-    /// quantile readout reports for a rank landing in that bucket).
-    /// Monotone in `i`; the overflow bucket reports `u64::MAX`.
-    pub fn upper_bound(self, i: usize) -> u64 {
-        match self {
-            BucketLayout::Log2 => match i {
-                0 => 0,
-                _ if i >= BUCKETS - 1 => u64::MAX,
-                _ => (1u64 << i) - 1,
-            },
-            BucketLayout::LogLinear4 => {
-                if i == 0 {
-                    return 0;
-                }
-                if i >= LOG_LINEAR4_BUCKETS - 1 {
-                    return u64::MAX;
-                }
-                let octave = (i - 1) / 4 + 1;
-                let sub = ((i - 1) % 4) as u64;
-                let lo = 1u64 << (octave - 1);
-                // lo - 1 + ceil((sub+1)·lo / 4); no overflow: lo ≤ 2^61.
-                lo - 1 + ((sub + 1) * lo).div_ceil(4)
-            }
-        }
-    }
-}
-
-/// A lock-free fixed-bucket histogram of `u64` observations (typically
-/// nanoseconds or bytes). See the [module docs](self) for the bucket
-/// layouts; [`Histogram::new`] is log₂, [`Histogram::with_layout`] opts
-/// into log-linear.
+/// A lock-free fixed-bucket log₂ histogram of `u64` observations
+/// (typically nanoseconds or bytes). See the [module docs](self) for the
+/// bucket layout.
 ///
 /// All methods take `&self`; recording from many threads concurrently is
 /// the intended use (the serve runtime's shard workers all record into one
@@ -163,8 +55,7 @@ impl BucketLayout {
 /// usual (and documented) telemetry trade.
 #[derive(Debug)]
 pub struct Histogram {
-    layout: BucketLayout,
-    buckets: Vec<AtomicU64>,
+    buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
 }
 
@@ -175,39 +66,29 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram in the default log₂ layout.
+    /// An empty histogram.
     pub fn new() -> Self {
-        Self::with_layout(BucketLayout::Log2)
-    }
-
-    /// An empty histogram in the given layout.
-    pub fn with_layout(layout: BucketLayout) -> Self {
         Self {
-            layout,
-            buckets: (0..layout.bucket_count())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
             sum: AtomicU64::new(0),
         }
     }
 
-    /// The bucket layout this histogram records into.
-    pub fn layout(&self) -> BucketLayout {
-        self.layout
-    }
-
-    /// Bucket index for a value in the **log₂** layout: 0 for 0, else
-    /// `64 - leading_zeros`, clamped into the overflow bucket. (Layout
-    /// method form: [`BucketLayout::bucket_index`].)
+    /// Bucket index for a value: 0 for 0, else `64 - leading_zeros`,
+    /// clamped into the overflow bucket.
     #[inline]
     pub fn bucket_index(value: u64) -> usize {
-        BucketLayout::Log2.bucket_index(value)
+        if value == 0 {
+            0
+        } else {
+            ((64 - value.leading_zeros()) as usize).min(BUCKETS - 1)
+        }
     }
 
     /// Record one observation. O(1), wait-free, two relaxed atomic adds.
     #[inline]
     pub fn record(&self, value: u64) {
-        if let Some(slot) = self.buckets.get(self.layout.bucket_index(value)) {
+        if let Some(slot) = self.buckets.get(Self::bucket_index(value)) {
             slot.fetch_add(1, Ordering::Relaxed);
         }
         self.sum.fetch_add(value, Ordering::Relaxed);
@@ -224,75 +105,42 @@ impl Histogram {
     /// A plain-data copy of the current state, for quantile readout,
     /// merging, and exposition.
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut buckets = [0u64; BUCKETS];
+        for (out, slot) in buckets.iter_mut().zip(&self.buckets) {
+            *out = slot.load(Ordering::Relaxed);
+        }
         HistogramSnapshot {
-            layout: self.layout,
-            buckets: self
-                .buckets
-                .iter()
-                .map(|slot| slot.load(Ordering::Relaxed))
-                .collect(),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
 }
 
-/// The typed refusal returned when [`HistogramSnapshot::merge`] is asked
-/// to combine snapshots with different bucket layouts (bucket `i` means a
-/// different value range in each, so addition would corrupt quantiles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayoutMismatch {
-    /// Layout of the snapshot being merged into.
-    pub left: BucketLayout,
-    /// Layout of the snapshot being merged from.
-    pub right: BucketLayout,
-}
-
-impl std::fmt::Display for LayoutMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "histogram layout mismatch: cannot merge {} into {}",
-            self.right.name(),
-            self.left.name()
-        )
-    }
-}
-
-impl std::error::Error for LayoutMismatch {}
-
 /// A point-in-time copy of a [`Histogram`]: plain data, comparable,
-/// mergeable (same layout only), and serializable into Prometheus
-/// exposition by [`push_histogram`](super::push_histogram).
+/// mergeable, and serializable into Prometheus exposition by
+/// [`push_histogram`](super::push_histogram).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// The bucket layout the counts were recorded under.
-    pub layout: BucketLayout,
-    /// Per-bucket observation counts (`layout.bucket_count()` entries;
-    /// see the [module docs](self) for which values land where).
-    pub buckets: Vec<u64>,
+    /// Per-bucket observation counts (see the [module docs](self) for
+    /// which values land where).
+    pub buckets: [u64; BUCKETS],
     /// Sum of all recorded values (saturating).
     pub sum: u64,
 }
 
 impl Default for HistogramSnapshot {
     fn default() -> Self {
-        Self::empty_with(BucketLayout::Log2)
+        Self {
+            buckets: [0; BUCKETS],
+            sum: 0,
+        }
     }
 }
 
 impl HistogramSnapshot {
-    /// An empty log₂ snapshot (what a fresh [`Histogram::new`] produces).
+    /// An empty snapshot (what a fresh histogram would produce).
     pub fn empty() -> Self {
         Self::default()
-    }
-
-    /// An empty snapshot in the given layout.
-    pub fn empty_with(layout: BucketLayout) -> Self {
-        Self {
-            layout,
-            buckets: vec![0; layout.bucket_count()],
-            sum: 0,
-        }
     }
 
     /// Total observations in this snapshot.
@@ -300,46 +148,32 @@ impl HistogramSnapshot {
         self.buckets.iter().fold(0u64, |a, &b| a.saturating_add(b))
     }
 
-    /// Inclusive upper bound of bucket `i` in the **log₂** layout: `0`
-    /// for bucket 0, `2^i - 1` for the middle buckets, `u64::MAX` for the
-    /// overflow bucket. For a layout-aware readout use
-    /// [`upper_bound`](Self::upper_bound).
+    /// Inclusive upper bound of bucket `i`: `0` for bucket 0, `2^i - 1`
+    /// for the middle buckets, `u64::MAX` for the overflow bucket.
     pub fn bucket_upper_bound(i: usize) -> u64 {
-        BucketLayout::Log2.upper_bound(i)
-    }
-
-    /// Inclusive upper bound of this snapshot's bucket `i` under its own
-    /// layout.
-    pub fn upper_bound(&self, i: usize) -> u64 {
-        self.layout.upper_bound(i)
+        match i {
+            0 => 0,
+            _ if i >= BUCKETS - 1 => u64::MAX,
+            _ => (1u64 << i) - 1,
+        }
     }
 
     /// Fold `other` into `self`: element-wise saturating adds. Saturating
     /// addition of counts is associative and commutative, so merge order
     /// (shard-by-shard, tree-reduced, any permutation) never changes the
     /// result.
-    ///
-    /// Refuses snapshots of unequal layouts with a typed
-    /// [`LayoutMismatch`] — on `Err`, `self` is unchanged.
-    pub fn merge(&mut self, other: &HistogramSnapshot) -> Result<(), LayoutMismatch> {
-        if self.layout != other.layout {
-            return Err(LayoutMismatch {
-                left: self.layout,
-                right: other.layout,
-            });
-        }
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a = a.saturating_add(*b);
         }
         self.sum = self.sum.saturating_add(other.sum);
-        Ok(())
     }
 
     /// The merged copy of two snapshots (see [`merge`](Self::merge)).
-    pub fn merged(&self, other: &HistogramSnapshot) -> Result<HistogramSnapshot, LayoutMismatch> {
+    pub fn merged(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
         let mut out = self.clone();
-        out.merge(other)?;
-        Ok(out)
+        out.merge(other);
+        out
     }
 
     /// The value at quantile `q` (clamped to `[0, 1]`): the upper bound of
@@ -357,7 +191,7 @@ impl HistogramSnapshot {
         for (i, &c) in self.buckets.iter().enumerate() {
             cumulative = cumulative.saturating_add(c);
             if cumulative >= rank {
-                return self.upper_bound(i);
+                return Self::bucket_upper_bound(i);
             }
         }
         u64::MAX
@@ -401,7 +235,6 @@ mod tests {
     #[test]
     fn record_and_quantiles() {
         let h = Histogram::new();
-        assert_eq!(h.layout(), BucketLayout::Log2, "default stays log2");
         for v in [1u64, 2, 3, 100, 1000, 100_000] {
             h.record(v);
         }
@@ -448,87 +281,5 @@ mod tests {
         assert_eq!(s, HistogramSnapshot::empty());
         assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.highest_bucket(), None);
-    }
-
-    #[test]
-    fn log_linear_brackets_every_value_tightly() {
-        let layout = BucketLayout::LogLinear4;
-        // Exhaustive at the small end, boundary-probing above.
-        let mut values: Vec<u64> = (0..=4096).collect();
-        for k in 12..63u32 {
-            for d in [0i64, 1, -1, 3, -3] {
-                values.push(((1u64 << k) as i64 + d) as u64);
-            }
-        }
-        values.push(u64::MAX);
-        for &v in &values {
-            let i = layout.bucket_index(v);
-            assert!(v <= layout.upper_bound(i), "v={v} i={i}");
-            if i > 0 {
-                assert!(
-                    v > layout.upper_bound(i - 1),
-                    "v={v} not above bucket {}'s bound {}",
-                    i - 1,
-                    layout.upper_bound(i - 1)
-                );
-            }
-        }
-        // Upper bounds are strictly monotone over the middle buckets.
-        for i in 1..LOG_LINEAR4_BUCKETS - 1 {
-            assert!(
-                layout.upper_bound(i) >= layout.upper_bound(i - 1),
-                "bucket {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn log_linear_cuts_quantile_overshoot_to_a_quarter_octave() {
-        // Every value ≥ 4 overshoots by at most 25% under log-linear
-        // (vs up to ~100% under log2).
-        let layout = BucketLayout::LogLinear4;
-        for &v in &[4u64, 5, 9, 100, 1_000, 123_456, 1 << 40, (1 << 45) + 12_345] {
-            let ub = layout.upper_bound(layout.bucket_index(v));
-            assert!(
-                (ub as f64) <= v as f64 * 1.25,
-                "v={v}: upper bound {ub} overshoots by more than 25%"
-            );
-        }
-        // Concretely better than log2 on a mid-octave value.
-        let h = Histogram::with_layout(BucketLayout::LogLinear4);
-        let h2 = Histogram::new();
-        for _ in 0..100 {
-            h.record(1_050); // just above 2^10
-            h2.record(1_050);
-        }
-        assert!(h.snapshot().p99() <= 1_050 * 5 / 4);
-        assert_eq!(h2.snapshot().p99(), 2_047);
-    }
-
-    #[test]
-    fn unequal_layouts_refuse_to_merge_with_a_typed_error() {
-        let mut log2 = Histogram::new().snapshot();
-        let ll4 = Histogram::with_layout(BucketLayout::LogLinear4).snapshot();
-        let before = log2.clone();
-        let err = log2.merge(&ll4).expect_err("layouts differ");
-        assert_eq!(err.left, BucketLayout::Log2);
-        assert_eq!(err.right, BucketLayout::LogLinear4);
-        assert!(err.to_string().contains("log_linear4"));
-        assert_eq!(log2, before, "failed merge leaves the target unchanged");
-        assert!(log2.merged(&ll4).is_err());
-        // Same layouts still merge fine, either way.
-        let mut a = HistogramSnapshot::empty_with(BucketLayout::LogLinear4);
-        assert!(a.merge(&ll4).is_ok());
-        assert!(HistogramSnapshot::empty().merge(&before).is_ok());
-    }
-
-    #[test]
-    fn log_linear_small_octaves_are_exact() {
-        let layout = BucketLayout::LogLinear4;
-        // Values 0..4 each get their own effective bucket.
-        for v in 0..4u64 {
-            let ub = layout.upper_bound(layout.bucket_index(v));
-            assert_eq!(ub, v, "small values are exact");
-        }
     }
 }

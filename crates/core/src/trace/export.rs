@@ -14,10 +14,9 @@
 //! envelope additionally stamps `exported_unix_ms` from the system clock
 //! so archived traces can be correlated with external logs. That read is
 //! presentation-only — it happens after every span was recorded and can
-//! never reach alarm bytes — and this module is the etsc-lint
-//! `determinism` allowlist's only trace-side entry (see
-//! `crates/lint/src/rules.rs`); wall-clock reads anywhere else in the
-//! trace plane are still violations.
+//! never reach alarm bytes — so `exported_unix_ms` carries the trace
+//! plane's only `#[expect(clippy::disallowed_methods)]`; wall-clock reads
+//! anywhere else in the trace plane fail the workspace clippy gate.
 
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -26,6 +25,10 @@ use super::span::Span;
 /// Milliseconds since the Unix epoch at export time (0 if the system
 /// clock is before the epoch). Presentation metadata only — see the
 /// [module docs](self) for why this wall-clock read is sanctioned.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "determinism: presentation-only export stamp, read after every span was recorded"
+)]
 fn exported_unix_ms() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)

@@ -22,7 +22,7 @@
 //! a scriptable scenario rather than a race.
 
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -216,7 +216,7 @@ pub struct FaultInjector(Arc<Mutex<State>>);
 
 impl std::fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let s = self.state();
         f.debug_struct("FaultInjector")
             .field("pending", &s.scripted.len())
             .field("injected", &s.injected)
@@ -227,11 +227,20 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
+    /// The shared fault state, poisoning absorbed (see the type docs).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lock-hygiene: the only lock this module takes, so no path holds two"
+    )]
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Inject `fault` live, at the next operation of its kind (or, for the
     /// sticky partitions and [`Fault::Heal`], immediately). This is how a
     /// test flips a healthy link into a partitioned one mid-scenario.
     pub fn inject(&self, fault: Fault) {
-        let mut s = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let mut s = self.state();
         match fault {
             Fault::PartitionInbound => {
                 s.partition_in = true;
@@ -271,22 +280,18 @@ impl FaultInjector {
     /// How many faults have fired so far (tests assert the plan actually
     /// ran instead of silently missing its scripted points).
     pub fn injected(&self) -> u64 {
-        self.0.lock().unwrap_or_else(|p| p.into_inner()).injected
+        self.state().injected
     }
 
     /// Scripted entries that have not fired yet.
     pub fn pending(&self) -> usize {
-        self.0
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .scripted
-            .len()
+        self.state().scripted.len()
     }
 
     /// Intercept a connection attempt; `Err` means the dial must fail
     /// without touching the network.
     pub(crate) fn on_connect(&self) -> io::Result<()> {
-        let mut s = self.0.lock().unwrap_or_else(|p| p.into_inner());
+        let mut s = self.state();
         let idx = s.connects;
         s.connects += 1;
         if let Some(Fault::RefuseConnect) = s.fire(Op::Connect, idx) {
@@ -301,7 +306,7 @@ impl FaultInjector {
     /// Perform one read through the fault filter.
     pub(crate) fn read(&self, inner: &mut dyn Read, buf: &mut [u8]) -> io::Result<usize> {
         let action = {
-            let mut s = self.0.lock().unwrap_or_else(|p| p.into_inner());
+            let mut s = self.state();
             let idx = s.reads;
             s.reads += 1;
             let one_shot = s.fire(Op::Read, idx);
@@ -345,7 +350,7 @@ impl FaultInjector {
     /// Perform one write through the fault filter.
     pub(crate) fn write(&self, inner: &mut dyn Write, buf: &[u8]) -> io::Result<usize> {
         let one_shot = {
-            let mut s = self.0.lock().unwrap_or_else(|p| p.into_inner());
+            let mut s = self.state();
             let idx = s.writes;
             s.writes += 1;
             let one_shot = s.fire(Op::Write, idx);

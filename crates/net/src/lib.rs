@@ -1,4 +1,14 @@
 #![warn(missing_docs)]
+// panic-freedom: runtime code returns typed errors, never panics.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 //! # etsc-net
 //!

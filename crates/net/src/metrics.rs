@@ -115,10 +115,7 @@ impl MessageTimings {
         other: &[(&'static str, HistogramSnapshot)],
     ) {
         for (a, o) in acc.iter_mut().zip(other.iter()) {
-            // Kind-shaped sets share the default log2 layout by
-            // construction; a layout mismatch skips the slot rather than
-            // corrupting or panicking.
-            let _ = a.1.merge(&o.1);
+            a.1.merge(&o.1);
         }
     }
 

@@ -23,7 +23,7 @@
 //! for inspection via [`Node::into_runtime`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use etsc_core::metrics::Clock;
@@ -129,13 +129,24 @@ impl<'a, C: EarlyClassifier + Persist> Node<'a, C> {
 
     /// Reclaim the wrapped runtime (after [`Node::serve`] has returned).
     pub fn into_runtime(self) -> Runtime<'a, C> {
-        self.runtime.into_inner().unwrap_or_else(|p| p.into_inner())
+        self.runtime
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The wrapped runtime, poisoning ignored.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lock-hygiene: the only lock this module takes, so no path holds two"
+    )]
+    fn lock_runtime(&self) -> MutexGuard<'_, Runtime<'a, C>> {
+        self.runtime.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Run `f` against the wrapped runtime (for inspection from tests and
     /// co-located drivers).
     pub fn with_runtime<R>(&self, f: impl FnOnce(&mut Runtime<'a, C>) -> R) -> R {
-        let mut rt = self.runtime.lock().unwrap_or_else(|p| p.into_inner());
+        let mut rt = self.lock_runtime();
         f(&mut rt)
     }
 
@@ -239,7 +250,7 @@ impl<'a, C: EarlyClassifier + Persist> Node<'a, C> {
     }
 
     fn dispatch(&self, msg: Message) -> (Message, bool) {
-        let mut rt = self.runtime.lock().unwrap_or_else(|p| p.into_inner());
+        let mut rt = self.lock_runtime();
         let reply = match msg {
             Message::OpenStream { stream } => Message::OpenAck {
                 created: rt.open_stream(stream),

@@ -1,3 +1,10 @@
+// cast-safety: the frozen byte format never narrows a value silently.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
+
 //! The framed wire codec: length-prefixed, versioned, checksummed frames
 //! and the message set they carry.
 //!
@@ -925,6 +932,20 @@ mod tests {
             }),
             Message::Error(WireError::RemoteMalformed("trailing bytes".to_string())),
         ]
+    }
+
+    #[test]
+    fn cast_safety_ban_still_bites() {
+        // A true positive for this module's cast lints: if it stops firing,
+        // the unfulfilled expectation fails the clippy gate.
+        let len = u64::from(u32::MAX) + 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "true positive: cast-safety must reject a narrowing `as`"
+        )]
+        let wrapped = len as u32;
+        assert_eq!(wrapped, 0, "a bare `as` silently wraps a length");
+        assert!(u32::try_from(len).is_err(), "`try_from` surfaces it");
     }
 
     #[test]

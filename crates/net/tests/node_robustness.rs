@@ -178,6 +178,10 @@ fn with_node<R>(
 
 /// Read one reply frame from a raw socket, with a hard deadline so a
 /// regression can fail instead of hanging the suite.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "determinism: a wall-clock test deadline; the reply bytes never read it"
+)]
 fn read_reply(stream: &mut TcpStream) -> Message {
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))

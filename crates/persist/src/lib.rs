@@ -1,4 +1,20 @@
 #![warn(missing_docs)]
+// panic-freedom: runtime code returns typed errors, never panics.
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+// cast-safety: the frozen byte format never narrows a value silently.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 
 //! # etsc-persist
 //!
@@ -654,6 +670,19 @@ pub use registry::{ModelEntry, ModelRegistry};
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ordered_iteration_ban_still_bites() {
+        // A true positive for the workspace's `disallowed_types` ban: if it
+        // stops firing, the unfulfilled expectation fails the clippy gate.
+        #[expect(
+            clippy::disallowed_types,
+            reason = "true positive: ordered-iteration must reject `HashMap`"
+        )]
+        let hashed: std::collections::HashMap<u64, u64> = (0..64).map(|k| (k, k * k)).collect();
+        let ordered: std::collections::BTreeMap<u64, u64> = hashed.into_iter().collect();
+        assert!(ordered.keys().copied().eq(0..64));
+    }
 
     #[test]
     fn primitives_round_trip() {

@@ -622,7 +622,10 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                         *c
                     })
                     .unwrap_or(1);
-                // lint: allow(panic-freedom, route() < shards.len() by construction — router and shard vec change together)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "route() < shards.len() by construction — router and shard vec change together"
+                )]
                 let queued_here = self.shards[s].queue.len();
                 if queued_here + pending > self.cfg.queue_capacity {
                     self.rejected_batches += 1;
@@ -654,13 +657,19 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         let mut depth = self.queued() as u64;
         for r in batch {
             let s = self.router.route(r.stream);
-            // lint: allow(panic-freedom, route() < shards.len() by construction — router and shard vec change together)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "route() < shards.len() by construction — router and shard vec change together"
+            )]
             if self.shards[s].queue.len() >= self.cfg.queue_capacity {
                 // Block policy: backpressure by doing the work now.
                 self.flush_all();
                 depth = 0;
             }
-            // lint: allow(panic-freedom, route() < shards.len() by construction; a borrow-precise direct index keeps `self.seq` readable below)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "route() < shards.len() by construction; a borrow-precise direct index keeps `self.seq` readable below"
+            )]
             let shard = &mut self.shards[s];
             shard
                 .monitors
@@ -796,7 +805,10 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
             for (id, monitor) in shard.monitors {
                 let target = new_router.route(id);
                 let moved = migrated.remove(&id).unwrap_or(monitor);
-                // lint: allow(panic-freedom, target < new_shards == shards.len() by construction; silently dropping a monitor would be worse than the impossible panic)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "target < new_shards == shards.len() by construction; silently dropping a monitor would be worse than the impossible panic"
+                )]
                 self.shards[target].monitors.insert(id, moved);
             }
         }
@@ -922,7 +934,10 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         // Phase 2 (infallible): adopt them.
         let n = fresh.len() as u64;
         for (id, monitor) in fresh {
-            // lint: allow(panic-freedom, route() < shards.len() by construction; silently dropping an imported monitor would be worse than the impossible panic)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "route() < shards.len() by construction; silently dropping an imported monitor would be worse than the impossible panic"
+            )]
             self.shards[self.router.route(id)]
                 .monitors
                 .insert(id, monitor);
@@ -1278,7 +1293,10 @@ impl<'a, C: EarlyClassifier + Persist> Runtime<'a, C> {
             }
             let mut monitor = StreamMonitor::new(clf, rt.cfg.monitor);
             monitor.resume_anchors(&anchors)?;
-            // lint: allow(panic-freedom, route() < shards.len() by construction; silently dropping a recovered stream would be worse than the impossible panic)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "route() < shards.len() by construction; silently dropping a recovered stream would be worse than the impossible panic"
+            )]
             rt.shards[rt.router.route(id)].monitors.insert(id, monitor);
         }
         if dec.remaining() > 0 {
