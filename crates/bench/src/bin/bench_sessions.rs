@@ -15,9 +15,11 @@
 //! `PerPrefix`, RelClass with a full covariance, RelClass and ProbThreshold
 //! under `PerPrefix`) reads. The training fixture (see [`train_set`])
 //! separates its classes only *past* the probed window, so no session
-//! latches and every push pays full unlatched cost; a combination that
-//! commits anyway would report `null` marginals rather than a meaningless
-//! latched figure.
+//! latches; a combination that commits anyway would report `null`
+//! marginals rather than a meaningless latched figure. At that zero margin
+//! the softmax-gated sessions (`prob-threshold`, `relclass-*`) take their
+//! commit-test early-out on every push, so their figures are the gated
+//! push — the common `Wait` of a stream — not the full softmax.
 //!
 //! Writes `BENCH_sessions.json` into the current directory.
 //!
@@ -61,8 +63,9 @@ fn median(samples: &mut [f64]) -> f64 {
 /// excludes the class) that separate to symmetric ±2 plateaus only at
 /// `SPLIT`, past the probed window. Over every probed prefix the fitted
 /// class models are coordinate-for-coordinate identical, so margins are
-/// exactly zero, thresholds are never met, and every push pays the full
-/// unlatched cost — the regime the bench is meant to measure.
+/// exactly zero, thresholds are never met, and every push pays the
+/// unlatched cost — for the softmax-gated sessions, the gated `Wait` that
+/// dominates a stream.
 fn train_set(n_per_class: usize) -> UcrDataset {
     let mut data = Vec::new();
     let mut labels = Vec::new();

@@ -71,18 +71,52 @@ impl NearestCentroid {
             .collect()
     }
 
+    /// The logit the distance softmax exponentiates for a class at distance
+    /// `d` when the nearest centroid sits at distance `min`.
+    fn logit(&self, d: f64, min: f64) -> f64 {
+        -self.beta * (d - min)
+    }
+
     /// Softmax over negative length-normalized distances, written into
     /// `dist` in place (`dist[c]` holds class `c`'s distance on entry).
     fn softmax_distances_in_place(&self, dist: &mut [f64]) {
         let min = dist.iter().cloned().fold(f64::INFINITY, f64::min);
         let mut z = 0.0;
         for v in dist.iter_mut() {
-            *v = (-self.beta * (*v - min)).exp();
+            *v = self.logit(*v, min).exp();
             z += *v;
         }
         if z > 0.0 {
             dist.iter_mut().for_each(|v| *v /= z);
         }
+    }
+
+    /// [`ScoreSession::logit_gap`] of the distance softmax over `dists`:
+    /// with the two smallest distances `d₁ ≤ d₂`, the softmax exponentiates
+    /// `logit(d₁, d₁) = −0` for the nearest class and `logit(d₂, d₁)` for the
+    /// runner-up, so the gap is `−logit(d₂, d₁) = β·(d₂ − d₁)`, bit for bit.
+    /// `None` for a non-finite distance, fewer than two classes, or a β that
+    /// is not positive and finite (which reverses or flattens the ranking).
+    fn distance_logit_gap(&self, dists: impl Iterator<Item = f64>) -> Option<f64> {
+        if !(self.beta > 0.0 && self.beta.is_finite()) {
+            return None;
+        }
+        let mut d1 = f64::INFINITY;
+        let mut d2 = f64::INFINITY;
+        let mut k = 0usize;
+        for d in dists {
+            if !d.is_finite() {
+                return None;
+            }
+            if d < d1 {
+                d2 = d1;
+                d1 = d;
+            } else if d < d2 {
+                d2 = d;
+            }
+            k += 1;
+        }
+        (k >= 2).then(|| -self.logit(d2, d1))
     }
 }
 
@@ -96,6 +130,16 @@ pub struct CentroidScoreSession<'a> {
     sq: Vec<f64>,
     /// Samples consumed (uncapped).
     len: usize,
+}
+
+impl CentroidScoreSession<'_> {
+    /// Length-normalized distance to every centroid: the input of both the
+    /// softmax and the [`ScoreSession::logit_gap`] bound.
+    fn distances(&self) -> impl Iterator<Item = f64> + '_ {
+        let n = self.len.min(self.model.centroids[0].len()).max(1);
+        let root_n = (n as f64).sqrt();
+        self.sq.iter().map(move |&s| s.sqrt() / root_n)
+    }
 }
 
 impl ScoreSession for CentroidScoreSession<'_> {
@@ -116,12 +160,14 @@ impl ScoreSession for CentroidScoreSession<'_> {
 
     fn predict_proba_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.sq.len());
-        let n = self.len.min(self.model.centroids[0].len()).max(1);
-        let root_n = (n as f64).sqrt();
-        for (o, &s) in out.iter_mut().zip(&self.sq) {
-            *o = s.sqrt() / root_n;
+        for (o, d) in out.iter_mut().zip(self.distances()) {
+            *o = d;
         }
         self.model.softmax_distances_in_place(out);
+    }
+
+    fn logit_gap(&self) -> Option<f64> {
+        self.model.distance_logit_gap(self.distances())
     }
 
     fn reset(&mut self) {
@@ -197,6 +243,43 @@ pub struct CentroidZnormScoreSession<'a> {
     len: usize,
 }
 
+impl CentroidZnormScoreSession<'_> {
+    /// Length-normalized distance from the z-normalized prefix to every
+    /// centroid: the input of both the softmax and the
+    /// [`ScoreSession::logit_gap`] bound.
+    fn distances(&self) -> impl Iterator<Item = f64> + '_ {
+        let n = self.len.min(self.model.centroids[0].len()).max(1);
+        let root_n = (n as f64).sqrt();
+        // Normalization parameters of the *whole* prefix (uncapped sums),
+        // matching `znormalize` of the full buffer; `(0, 0)` maps a
+        // constant prefix to all zeros, the batch convention.
+        let (u, v) = if self.len == 0 {
+            (0.0, 0.0)
+        } else {
+            let nn = self.len as f64;
+            let mean = self.s1 / nn;
+            let var = (self.s2 / nn - mean * mean).max(0.0);
+            let sd = var.sqrt();
+            if sd <= etsc_core::znorm::CONSTANT_EPS {
+                (0.0, 0.0)
+            } else {
+                (1.0 / sd, mean / sd)
+            }
+        };
+        let nf = n as f64;
+        let (s1_cap, s2_cap) = (self.s1_cap, self.s2_cap);
+        self.sxc
+            .iter()
+            .zip(&self.sc)
+            .zip(&self.scc)
+            .map(move |((&sxc, &sc), &scc)| {
+                let d2 = u * u * s2_cap - 2.0 * u * (v * s1_cap + sxc)
+                    + (nf * v * v + 2.0 * v * sc + scc);
+                d2.max(0.0).sqrt() / root_n
+            })
+    }
+}
+
 impl ScoreSession for CentroidZnormScoreSession<'_> {
     fn push(&mut self, x: f64) {
         self.s1 += x;
@@ -220,34 +303,14 @@ impl ScoreSession for CentroidZnormScoreSession<'_> {
 
     fn predict_proba_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.sxc.len());
-        let n = self.len.min(self.model.centroids[0].len()).max(1);
-        let root_n = (n as f64).sqrt();
-        // Normalization parameters of the *whole* prefix (uncapped sums),
-        // matching `znormalize` of the full buffer; `(0, 0)` maps a
-        // constant prefix to all zeros, the batch convention.
-        let (u, v) = if self.len == 0 {
-            (0.0, 0.0)
-        } else {
-            let nn = self.len as f64;
-            let mean = self.s1 / nn;
-            let var = (self.s2 / nn - mean * mean).max(0.0);
-            let sd = var.sqrt();
-            if sd <= etsc_core::znorm::CONSTANT_EPS {
-                (0.0, 0.0)
-            } else {
-                (1.0 / sd, mean / sd)
-            }
-        };
-        let nf = n as f64;
-        for (o, ((&sxc, &sc), &scc)) in out
-            .iter_mut()
-            .zip(self.sxc.iter().zip(&self.sc).zip(&self.scc))
-        {
-            let d2 = u * u * self.s2_cap - 2.0 * u * (v * self.s1_cap + sxc)
-                + (nf * v * v + 2.0 * v * sc + scc);
-            *o = d2.max(0.0).sqrt() / root_n;
+        for (o, d) in out.iter_mut().zip(self.distances()) {
+            *o = d;
         }
         self.model.softmax_distances_in_place(out);
+    }
+
+    fn logit_gap(&self) -> Option<f64> {
+        self.model.distance_logit_gap(self.distances())
     }
 
     fn reset(&mut self) {
@@ -517,6 +580,118 @@ mod tests {
                 assert_eq!(a, b, "znorm={znorm}: restored session diverged");
             }
         }
+    }
+
+    /// Checks the distance softmax gate on `dists` at every threshold;
+    /// returns how many thresholds it skipped.
+    fn assert_distance_gate_sound(beta: f64, dists: &[f64]) -> usize {
+        use crate::gate_cases::THETAS;
+        let m = NearestCentroid {
+            centroids: vec![vec![0.0]; dists.len()],
+            beta,
+        };
+        let gap = m.distance_logit_gap(dists.iter().copied());
+        let mut p = dists.to_vec();
+        m.softmax_distances_in_place(&mut p);
+        let top = p[crate::argmax(&p)];
+        let mut skipped = 0;
+        for theta in THETAS {
+            if gap.is_some_and(|g| g < crate::min_commit_gap(theta)) {
+                assert!(
+                    top < theta,
+                    "β {beta}, distances {dists:?}: gap {gap:?} skipped θ = {theta} but top = {top}"
+                );
+                skipped += 1;
+            }
+        }
+        skipped
+    }
+
+    #[test]
+    fn distance_gate_never_skips_a_commit() {
+        let mut skipped = 0;
+        let mut checked = 0;
+        for (i, v) in crate::gate_cases::hostile_vectors(11, 4000)
+            .into_iter()
+            .enumerate()
+        {
+            let dists: Vec<f64> = v.iter().map(|d| d.abs()).collect();
+            let beta = [4.0, 1.0, 0.05, 300.0, 1e-300, -1.0, 0.0, f64::INFINITY][i % 8];
+            skipped += assert_distance_gate_sound(beta, &dists);
+            checked += 1;
+        }
+        // Gaps straddling each cutoff and the underflow point, the nearest
+        // class placed first, last and in between, with far classes added.
+        for g in crate::gate_cases::boundary_gaps() {
+            for k in [2usize, 3, 7] {
+                for slot in 0..k {
+                    let mut dists = vec![g + 5.0; k];
+                    dists[slot] = 0.0;
+                    dists[(slot + 1) % k] = g;
+                    let m = NearestCentroid {
+                        centroids: vec![vec![0.0]; k],
+                        beta: 1.0,
+                    };
+                    assert_eq!(m.distance_logit_gap(dists.iter().copied()), Some(g));
+                    skipped += assert_distance_gate_sound(1.0, &dists);
+                    let scaled: Vec<f64> = dists.iter().map(|d| 1.5 + d / 4.0).collect();
+                    skipped += assert_distance_gate_sound(4.0, &scaled);
+                    checked += 2;
+                }
+            }
+        }
+        assert!(skipped > 0 && skipped < checked * 6, "{skipped}/{checked}");
+        // The underflow case θ = 1 must still see: exactly 1.0, not skipped.
+        let m = NearestCentroid {
+            centroids: vec![vec![0.0]; 2],
+            beta: 1.0,
+        };
+        let mut p = [0.0, 800.0];
+        m.softmax_distances_in_place(&mut p);
+        assert_eq!(p[0], 1.0);
+        assert!(
+            m.distance_logit_gap([0.0, 800.0].into_iter()).unwrap() >= crate::min_commit_gap(1.0)
+        );
+    }
+
+    #[test]
+    fn session_logit_gap_matches_the_reported_probabilities() {
+        let m = NearestCentroid::fit(&toy());
+        // NaN last: the raw distances turn NaN (no bound); the z-norm
+        // session's constant-prefix convention maps it to a tie instead.
+        let probe = [0.3, 1.0, 4.0, 5.0, 2.0, 7.0, f64::NAN];
+        let mut p = [0.0; 2];
+        for znorm in [false, true] {
+            let mut s = if znorm {
+                m.score_session_znorm().unwrap()
+            } else {
+                m.score_session().unwrap()
+            };
+            for (i, &x) in probe.iter().enumerate() {
+                s.push(x);
+                s.predict_proba_into(&mut p);
+                let top = p[crate::argmax(&p)];
+                match s.logit_gap() {
+                    // Two classes: the top probability is exactly σ(g).
+                    Some(g) => {
+                        let sigma = 1.0 / (1.0 + (-g).exp());
+                        assert!(
+                            (top - sigma).abs() <= 1e-15,
+                            "prefix {}: {top} vs σ({g})",
+                            i + 1
+                        );
+                    }
+                    None => assert!(!znorm && x.is_nan(), "prefix {}", i + 1),
+                }
+            }
+        }
+        let one = NearestCentroid {
+            centroids: vec![vec![1.0, 2.0]],
+            beta: 4.0,
+        };
+        let mut s = one.score_session().unwrap();
+        s.push(1.0);
+        assert_eq!(s.logit_gap(), None, "a lone class has no runner-up");
     }
 
     #[test]

@@ -46,6 +46,26 @@ struct ClassGaussian {
     /// falls back to its diagonal marginal at every prefix length.
     full: Option<FullFactor>,
     prior: f64,
+    /// `ln var[i]`, derived once at fit and decode (never persisted).
+    ln_var: Vec<f64>,
+    /// `ln max(prior, 1e-12)`, derived once at fit and decode (never
+    /// persisted).
+    ln_prior: f64,
+}
+
+impl ClassGaussian {
+    /// Assemble a class from its persisted parameters, deriving the
+    /// logarithms every likelihood evaluation reads.
+    fn new(mean: Vec<f64>, var: Vec<f64>, full: Option<FullFactor>, prior: f64) -> Self {
+        Self {
+            ln_var: var.iter().map(|v| v.ln()).collect(),
+            ln_prior: prior.max(1e-12).ln(),
+            mean,
+            var,
+            full,
+            prior,
+        }
+    }
 }
 
 /// Precomputed full-covariance machinery for one class.
@@ -67,6 +87,29 @@ struct FullFactor {
     /// `L⁻¹·μ_c` — the whitened class mean, the constant part of the same
     /// decomposition.
     white_mean: Vec<f64>,
+    /// `ln L_ii`, the per-row log-determinant terms.
+    ln_l_diag: Vec<f64>,
+}
+
+impl FullFactor {
+    /// Derive the whitened vectors and diagonal logarithms from the factor
+    /// — the same deterministic computation at fit and at decode, so a
+    /// restored model is bit-identical (only `chol` is persisted).
+    fn new(chol: Cholesky, mean: &[f64]) -> Self {
+        let len = chol.dim();
+        let ones = vec![1.0; len];
+        let mut white_ones = Vec::with_capacity(len);
+        chol.forward_solve_leading(&ones, &mut white_ones);
+        let mut white_mean = Vec::with_capacity(len);
+        chol.forward_solve_leading(mean, &mut white_mean);
+        let ln_l_diag = (0..len).map(|i| chol.l_diag(i).ln()).collect();
+        Self {
+            chol,
+            white_ones,
+            white_mean,
+            ln_l_diag,
+        }
+    }
 }
 
 /// Gaussian class-conditional model over fixed-length series, supporting
@@ -91,7 +134,8 @@ impl GaussianModel {
         let len = train.series_len();
         let n_total = train.len() as f64;
 
-        let mut classes = Vec::with_capacity(n_classes);
+        // Per class: (mean, var, full factor, prior).
+        let mut fitted = Vec::with_capacity(n_classes);
         for c in 0..n_classes {
             let members: Vec<&[f64]> = train
                 .iter()
@@ -121,46 +165,31 @@ impl GaussianModel {
             var.iter_mut().for_each(|v| *v = v.max(VAR_FLOOR));
 
             let full = match kind {
-                CovarianceKind::Full => {
-                    let cov = covariance(&members, &mean, RIDGE);
-                    Cholesky::new(&cov).map(|chol| {
-                        let ones = vec![1.0; len];
-                        let mut white_ones = Vec::with_capacity(len);
-                        chol.forward_solve_leading(&ones, &mut white_ones);
-                        let mut white_mean = Vec::with_capacity(len);
-                        chol.forward_solve_leading(&mean, &mut white_mean);
-                        FullFactor {
-                            chol,
-                            white_ones,
-                            white_mean,
-                        }
-                    })
-                }
+                CovarianceKind::Full => Cholesky::new(&covariance(&members, &mean, RIDGE))
+                    .map(|chol| FullFactor::new(chol, &mean)),
                 _ => None,
             };
-            classes.push(ClassGaussian {
-                mean,
-                var,
-                full,
-                prior: count as f64 / n_total,
-            });
+            fitted.push((mean, var, full, count as f64 / n_total));
         }
 
         if kind == CovarianceKind::PooledDiagonal {
             // Pool the diagonal variances, weighted by class priors.
             let mut pooled = vec![0.0; len];
-            for cg in &classes {
-                for (p, &v) in pooled.iter_mut().zip(&cg.var) {
-                    *p += cg.prior * v;
+            for (_, var, _, prior) in &fitted {
+                for (p, &v) in pooled.iter_mut().zip(var) {
+                    *p += prior * v;
                 }
             }
-            for cg in &mut classes {
-                cg.var.clone_from(&pooled);
+            for (_, var, _, _) in &mut fitted {
+                var.clone_from(&pooled);
             }
         }
 
         Self {
-            classes,
+            classes: fitted
+                .into_iter()
+                .map(|(mean, var, full, prior)| ClassGaussian::new(mean, var, full, prior))
+                .collect(),
             kind,
             series_len: len,
         }
@@ -196,7 +225,7 @@ impl GaussianModel {
                 let mut ll = 0.0;
                 for i in 0..t {
                     let d = x[i] - cg.mean[i];
-                    ll += -0.5 * (LN_2PI + cg.var[i].ln() + d * d / cg.var[i]);
+                    ll += -0.5 * (LN_2PI + cg.ln_var[i] + d * d / cg.var[i]);
                 }
                 ll
             }
@@ -214,7 +243,7 @@ impl GaussianModel {
     pub fn posterior_prefix_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), self.classes.len());
         for (c, o) in out.iter_mut().enumerate() {
-            *o = self.classes[c].prior.max(1e-12).ln() + self.log_likelihood_prefix(c, x);
+            *o = self.classes[c].ln_prior + self.log_likelihood_prefix(c, x);
         }
         softmax_of_logs_in_place(out);
     }
@@ -227,6 +256,13 @@ impl GaussianModel {
     /// Class prior.
     pub fn class_prior(&self, c: ClassLabel) -> f64 {
         self.classes[c].prior
+    }
+
+    /// The log prior every posterior adds to class `c`'s log-likelihood:
+    /// `ln max(prior, 1e-12)` (the floor keeps an empty class finite),
+    /// computed once when the model is fitted or restored.
+    pub fn class_log_prior(&self, c: ClassLabel) -> f64 {
+        self.classes[c].ln_prior
     }
 
     /// Open an incremental per-class log-likelihood accumulator.
@@ -295,8 +331,8 @@ impl Persist for GaussianModel {
                 e.put_f64_slice(&cg.var);
                 e.put_f64(cg.prior);
                 // Only the Cholesky factor travels; the whitened vectors
-                // are recomputed at decode by the same deterministic
-                // forward substitution fit time ran — bit-identical.
+                // and logarithms are recomputed at decode by the same
+                // deterministic code fit time ran — bit-identical.
                 match &cg.full {
                     Some(f) => {
                         e.put_bool(true);
@@ -348,26 +384,12 @@ impl Persist for GaussianModel {
                         chol.dim()
                     )));
                 }
-                let ones = vec![1.0; series_len];
-                let mut white_ones = Vec::with_capacity(series_len);
-                chol.forward_solve_leading(&ones, &mut white_ones);
-                let mut white_mean = Vec::with_capacity(series_len);
-                chol.forward_solve_leading(&mean, &mut white_mean);
-                Some(FullFactor {
-                    chol,
-                    white_ones,
-                    white_mean,
-                })
+                Some(FullFactor::new(chol, &mean))
             } else {
                 None
             };
             sub.finish()?;
-            classes.push(ClassGaussian {
-                mean,
-                var,
-                full,
-                prior,
-            });
+            classes.push(ClassGaussian::new(mean, var, full, prior));
         }
         Ok(Self {
             classes,
@@ -422,21 +444,21 @@ impl GaussianLikelihoodSession<'_> {
                             f.chol.forward_solve_leading(&s.diff, &mut s.y);
                             let yi = s.y[i];
                             s.q += yi * yi;
-                            s.sum_ln += f.chol.l_diag(i).ln();
+                            s.sum_ln += f.ln_l_diag[i];
                             self.ll[c] = -0.5 * ((i + 1) as f64 * LN_2PI + s.sum_ln * 2.0 + s.q);
                         }
                         _ => {
                             // Unfactorable class: diagonal marginal, exactly
                             // as the batch fallback.
                             let d = x - cg.mean[i];
-                            self.ll[c] += -0.5 * (LN_2PI + cg.var[i].ln() + d * d / cg.var[i]);
+                            self.ll[c] += -0.5 * (LN_2PI + cg.ln_var[i] + d * d / cg.var[i]);
                         }
                     }
                 }
             } else {
                 for (acc, cg) in self.ll.iter_mut().zip(&self.model.classes) {
                     let d = x - cg.mean[i];
-                    *acc += -0.5 * (LN_2PI + cg.var[i].ln() + d * d / cg.var[i]);
+                    *acc += -0.5 * (LN_2PI + cg.ln_var[i] + d * d / cg.var[i]);
                 }
             }
         }
@@ -458,13 +480,23 @@ impl GaussianLikelihoodSession<'_> {
         &self.ll
     }
 
+    /// `log prior + log likelihood` per class: the logits of both the
+    /// [`posterior_into`](Self::posterior_into) softmax and the
+    /// [`ScoreSession::logit_gap`] bound.
+    fn logits(&self) -> impl Iterator<Item = f64> + '_ {
+        self.ll
+            .iter()
+            .zip(&self.model.classes)
+            .map(|(ll, cg)| cg.ln_prior + ll)
+    }
+
     /// Posterior over classes, written into `out`: softmax of
     /// `log prior + log likelihood`, exactly as
     /// [`GaussianModel::posterior_prefix`].
     pub fn posterior_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.ll.len());
-        for (o, (ll, cg)) in out.iter_mut().zip(self.ll.iter().zip(&self.model.classes)) {
-            *o = cg.prior.max(1e-12).ln() + ll;
+        for (o, l) in out.iter_mut().zip(self.logits()) {
+            *o = l;
         }
         softmax_of_logs_in_place(out);
     }
@@ -493,6 +525,10 @@ impl ScoreSession for GaussianLikelihoodSession<'_> {
 
     fn predict_proba_into(&self, out: &mut [f64]) {
         self.posterior_into(out);
+    }
+
+    fn logit_gap(&self) -> Option<f64> {
+        crate::top_logit_gap(self.logits())
     }
 
     fn reset(&mut self) {
@@ -728,7 +764,7 @@ impl GaussianZnormSession<'_> {
                         s.s1 += iv;
                         s.sm += m * iv;
                         s.smm += m * m * iv;
-                        s.slnv += cg.var[i].ln();
+                        s.slnv += cg.ln_var[i];
                     }
                     ZnormClassState::Full {
                         p,
@@ -754,7 +790,7 @@ impl GaussianZnormSession<'_> {
                         let pi = p[i];
                         let ri = f.white_ones[i];
                         let si = f.white_mean[i];
-                        *sum_ln += f.chol.l_diag(i).ln();
+                        *sum_ln += f.ln_l_diag[i];
                         *pp += pi * pi;
                         *rr += ri * ri;
                         *ss += si * si;
@@ -797,44 +833,59 @@ impl GaussianZnormSession<'_> {
         }
     }
 
+    /// Per-class log-likelihood of the z-normalized prefix, in closed form
+    /// from the running sums.
+    fn log_likelihoods(&self) -> impl Iterator<Item = f64> + '_ {
+        let t = self.len.min(self.model.series_len) as f64;
+        let (u, v) = self.norm_params();
+        self.classes.iter().map(move |state| match state {
+            ZnormClassState::Diag(s) => {
+                let q = u * u * s.sxx - 2.0 * u * (v * s.sx + s.sxm)
+                    + (v * v * s.s1 + 2.0 * v * s.sm + s.smm);
+                -0.5 * (t * LN_2PI + s.slnv + q)
+            }
+            ZnormClassState::Full {
+                pp,
+                rr,
+                ss,
+                pr,
+                ps,
+                rs,
+                sum_ln,
+                ..
+            } => {
+                let q =
+                    u * u * pp + v * v * rr + ss - 2.0 * u * v * pr - 2.0 * u * ps + 2.0 * v * rs;
+                -0.5 * (t * LN_2PI + sum_ln * 2.0 + q)
+            }
+        })
+    }
+
     /// Per-class log-likelihood of the z-normalized prefix, written into
     /// `out` (length = number of classes).
     pub fn log_likelihoods_into(&self, out: &mut [f64]) {
         assert_eq!(out.len(), self.classes.len());
-        let t = self.len.min(self.model.series_len) as f64;
-        let (u, v) = self.norm_params();
-        for (o, state) in out.iter_mut().zip(&self.classes) {
-            *o = match state {
-                ZnormClassState::Diag(s) => {
-                    let q = u * u * s.sxx - 2.0 * u * (v * s.sx + s.sxm)
-                        + (v * v * s.s1 + 2.0 * v * s.sm + s.smm);
-                    -0.5 * (t * LN_2PI + s.slnv + q)
-                }
-                ZnormClassState::Full {
-                    pp,
-                    rr,
-                    ss,
-                    pr,
-                    ps,
-                    rs,
-                    sum_ln,
-                    ..
-                } => {
-                    let q = u * u * pp + v * v * rr + ss - 2.0 * u * v * pr - 2.0 * u * ps
-                        + 2.0 * v * rs;
-                    -0.5 * (t * LN_2PI + sum_ln * 2.0 + q)
-                }
-            };
+        for (o, ll) in out.iter_mut().zip(self.log_likelihoods()) {
+            *o = ll;
         }
+    }
+
+    /// `log likelihood + log prior` per class: the logits of both the
+    /// [`posterior_into`](Self::posterior_into) softmax and the
+    /// [`ScoreSession::logit_gap`] bound.
+    fn logits(&self) -> impl Iterator<Item = f64> + '_ {
+        self.log_likelihoods()
+            .zip(&self.model.classes)
+            .map(|(ll, cg)| ll + cg.ln_prior)
     }
 
     /// Posterior over classes for the z-normalized prefix, written into
     /// `out`: softmax of `log prior + log likelihood`, tracking
     /// [`GaussianModel::posterior_prefix`] of the normalized buffer.
     pub fn posterior_into(&self, out: &mut [f64]) {
-        self.log_likelihoods_into(out);
-        for (o, cg) in out.iter_mut().zip(&self.model.classes) {
-            *o += cg.prior.max(1e-12).ln();
+        assert_eq!(out.len(), self.classes.len());
+        for (o, l) in out.iter_mut().zip(self.logits()) {
+            *o = l;
         }
         softmax_of_logs_in_place(out);
     }
@@ -883,6 +934,10 @@ impl ScoreSession for GaussianZnormSession<'_> {
 
     fn predict_proba_into(&self, out: &mut [f64]) {
         self.posterior_into(out);
+    }
+
+    fn logit_gap(&self) -> Option<f64> {
+        crate::top_logit_gap(self.logits())
     }
 
     fn reset(&mut self) {
@@ -1387,5 +1442,147 @@ mod tests {
         assert!(p[0] > p[1]);
         let u = softmax_of_logs(&[f64::NEG_INFINITY, f64::NEG_INFINITY]);
         assert_eq!(u, vec![0.5, 0.5]);
+    }
+
+    /// RelClass's thresholds and observed fractions the margin gate is
+    /// checked at.
+    const TAUS: [f64; 6] = [0.0, 1e-12, 0.1, 0.5, 0.95, 1.0];
+    const OBSERVED: [f64; 4] = [1e-3, 0.25, 0.5, 1.0];
+
+    /// RelClass's margin primitive: the two largest probabilities, both
+    /// 0.0-floored.
+    fn top_two(p: &[f64]) -> (f64, f64) {
+        let (mut best, mut second) = (0.0, 0.0);
+        for &v in p {
+            if v > best {
+                second = best;
+                best = v;
+            } else if v > second {
+                second = v;
+            }
+        }
+        (best, second)
+    }
+
+    /// Checks both gates on one logit vector — the probability gate at
+    /// every θ and RelClass's margin gate at every τ and observed fraction
+    /// — and returns how many of them skipped.
+    fn assert_logit_gates_sound(logits: &[f64]) -> usize {
+        let gap = crate::top_logit_gap(logits.iter().copied());
+        let mut p = logits.to_vec();
+        softmax_of_logs_in_place(&mut p);
+        let top = p[crate::argmax(&p)];
+        let mut skipped = 0;
+        for theta in crate::gate_cases::THETAS {
+            if gap.is_some_and(|g| g < crate::min_commit_gap(theta)) {
+                assert!(
+                    top < theta,
+                    "logits {logits:?}: gap {gap:?} skipped θ = {theta} but top = {top}"
+                );
+                skipped += 1;
+            }
+        }
+        let (best, second) = top_two(&p);
+        for tau in TAUS {
+            for observed in OBSERVED {
+                // RelClass's form: the margin is at most tanh(g/2) ≤ g/2.
+                if gap.is_some_and(|g| g / 2.0 * observed < tau - crate::COMMIT_GATE_SLACK) {
+                    assert!(
+                        (best - second) * observed < tau,
+                        "logits {logits:?}: gap {gap:?} skipped τ = {tau} at {observed} observed"
+                    );
+                    skipped += 1;
+                }
+            }
+        }
+        skipped
+    }
+
+    #[test]
+    fn logit_gates_never_skip_a_commit() {
+        let mut skipped = 0;
+        let mut checked = 0;
+        for v in crate::gate_cases::hostile_vectors(7, 4000) {
+            skipped += assert_logit_gates_sound(&v);
+            checked += 1;
+        }
+        // Gaps straddling every θ cutoff, the rounding and underflow points
+        // and every RelClass cutoff 2(τ − ε)/observed; the top class first,
+        // last and in between, other classes far below, at three offsets.
+        let mut gaps = crate::gate_cases::boundary_gaps();
+        for tau in TAUS {
+            for observed in OBSERVED {
+                let centre = 2.0 * (tau - crate::COMMIT_GATE_SLACK) / observed;
+                let (mut up, mut down) = (centre, centre);
+                gaps.push(centre);
+                for _ in 0..4 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    gaps.extend([up, down]);
+                }
+            }
+        }
+        gaps.retain(|&g| g >= 0.0);
+        for g in gaps {
+            for k in [2usize, 3, 7] {
+                for slot in 0..k {
+                    for offset in [0.0, -3.5, 1e3] {
+                        let mut logits = vec![offset - g - 40.0; k];
+                        logits[slot] = offset;
+                        logits[(slot + 1) % k] = offset - g;
+                        skipped += assert_logit_gates_sound(&logits);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        let gates = crate::gate_cases::THETAS.len() + TAUS.len() * OBSERVED.len();
+        assert!(
+            skipped > 0 && skipped < checked * gates,
+            "{skipped}/{checked}"
+        );
+        // Past the underflow the softmax returns exactly 1.0, and θ = 1
+        // still runs the exact path.
+        let logits = [0.0, -800.0];
+        let mut p = logits;
+        softmax_of_logs_in_place(&mut p);
+        assert_eq!(p[0], 1.0);
+        assert!(crate::top_logit_gap(logits).unwrap() >= crate::min_commit_gap(1.0));
+    }
+
+    #[test]
+    fn session_logit_gaps_match_the_reported_probabilities() {
+        let d = toy(10, 8);
+        // NaN last: the likelihoods turn NaN and no bound is offered.
+        let probe = [0.1, 2.0, -0.3, 1.0, 0.0, 3.0, 0.2, 0.4, 9.0, f64::NAN];
+        let mut p = [0.0; 2];
+        for kind in [
+            CovarianceKind::Diagonal,
+            CovarianceKind::PooledDiagonal,
+            CovarianceKind::Full,
+        ] {
+            let m = GaussianModel::fit(&d, kind);
+            let mut raw = m.likelihood_session();
+            let mut z = m.znorm_likelihood_session();
+            for (i, &x) in probe.iter().enumerate() {
+                for s in [&mut raw as &mut dyn ScoreSession, &mut z] {
+                    s.push(x);
+                    s.predict_proba_into(&mut p);
+                    let top = p[crate::argmax(&p)];
+                    match s.logit_gap() {
+                        // Two classes: the top probability is exactly σ(g).
+                        Some(g) => {
+                            let sigma = 1.0 / (1.0 + (-g).exp());
+                            assert!(
+                                (top - sigma).abs() <= 1e-15,
+                                "{kind:?} prefix {}: {top} vs σ({g})",
+                                i + 1
+                            );
+                        }
+                        None => assert!(x.is_nan(), "{kind:?} prefix {}", i + 1),
+                    }
+                }
+            }
+        }
     }
 }

@@ -151,6 +151,35 @@ pub trait ScoreSession: Send {
     /// Forget all samples, keeping allocations for reuse.
     fn reset(&mut self);
 
+    /// The gap `g = l₁ − l₂ ≥ 0` between the largest and the second-largest
+    /// logit of the softmax [`ScoreSession::predict_proba_into`] would
+    /// evaluate now, computed without calling `exp`.
+    ///
+    /// **Why it is a bound.** For logits `l₁ ≥ l₂ ≥ … ≥ l_K` the top
+    /// probability is `p₁ = e^{l₁} / Σ e^{l_c} ≤ e^{l₁} / (e^{l₁} + e^{l₂})
+    /// = σ(g)`, whatever the class count `K`; likewise the top-two margin is
+    /// `p₁ − p₂ ≤ tanh(g/2) ≤ g/2`. So a caller that commits only when
+    /// `p₁ ≥ θ` may answer "wait" without the softmax whenever
+    /// `g < logit(θ − ε)` ([`min_commit_gap`]), with `ε =`
+    /// [`COMMIT_GATE_SLACK`]. The slack absorbs the softmax's own rounding
+    /// (a few ulps). It also absorbs the rounding that makes the softmax
+    /// return exactly `1.0` — once `e^{−g}` falls below half an ulp of 1
+    /// (`g ≳ 37`), let alone once `exp` underflows (`g > 745`) — which a
+    /// θ = 1 gate must still let through, and does, since
+    /// `logit(1 − ε) ≈ 20.7`.
+    ///
+    /// Implementations compute `g` from the very values their softmax
+    /// exponentiates, through one helper shared with `predict_proba_into`,
+    /// so the bound holds for the probabilities the session would report.
+    /// They return `None` — no bound, take the exact path — when a logit is
+    /// not finite (NaN or ±∞ samples, overflowing sums) and when there are
+    /// fewer than two classes (a lone class always has probability 1). The
+    /// default returns `None`, so a scorer without an override is always
+    /// evaluated exactly.
+    fn logit_gap(&self) -> Option<f64> {
+        None
+    }
+
     /// Append this session's resumable state to `enc` (see `etsc-persist`
     /// for the codec). A session restored into the same fitted model via
     /// [`ScoreSession::load_state`] continues **bit-identically** to an
@@ -202,9 +231,151 @@ pub fn argmax(xs: &[f64]) -> usize {
     best.unwrap_or(0)
 }
 
+/// Slack subtracted from a commit threshold before it is compared with a
+/// softmax bound (see [`ScoreSession::logit_gap`]). The softmax's rounding
+/// moves a probability by a few ulps (~1e-16), so `1e-9` leaves a wide
+/// safety margin while costing nothing: a gate only skips work, and a
+/// probability within the slack of θ simply takes the exact path.
+pub const COMMIT_GATE_SLACK: f64 = 1e-9;
+
+/// The smallest logit gap at which a softmax's top probability can reach
+/// `theta`: `logit(θ − ε) = ln((θ − ε) / (1 − θ + ε))` with
+/// `ε =` [`COMMIT_GATE_SLACK`]. A [`ScoreSession::logit_gap`] below it
+/// proves `p₁ < θ`.
+///
+/// Returns `−∞`, which no gap is below, when `θ − ε ≤ 0.5` (or θ is NaN):
+/// two tied classes already reach probability 0.5, so no gap can rule out
+/// such a threshold.
+pub fn min_commit_gap(theta: f64) -> f64 {
+    let t = theta - COMMIT_GATE_SLACK;
+    if t > 0.5 {
+        (t / (1.0 - t)).ln()
+    } else {
+        f64::NEG_INFINITY
+    }
+}
+
+/// The gap between the largest and the second-largest of `logits` — the
+/// [`ScoreSession::logit_gap`] of a softmax over them, as
+/// [`gaussian::softmax_of_logs_in_place`] evaluates it (it exponentiates
+/// `l₂ − l₁ = −g`). `None` when any logit is not finite or there are fewer
+/// than two.
+pub fn top_logit_gap(logits: impl IntoIterator<Item = f64>) -> Option<f64> {
+    let mut first = f64::NEG_INFINITY;
+    let mut second = f64::NEG_INFINITY;
+    let mut k = 0usize;
+    for l in logits {
+        if !l.is_finite() {
+            return None;
+        }
+        if l > first {
+            second = first;
+            first = l;
+        } else if l > second {
+            second = l;
+        }
+        k += 1;
+    }
+    (k >= 2).then_some(first - second)
+}
+
+/// Inputs shared by the soundness tests of the softmax bounds next to the
+/// two softmaxes ([`centroid`] and [`gaussian`]).
+#[cfg(test)]
+pub(crate) mod gate_cases {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Commit thresholds the gates are checked at; θ = 0.5 must never skip.
+    pub(crate) const THETAS: [f64; 6] = [0.5, 0.5 + 1e-12, 0.65, 0.8, 0.9999, 1.0];
+
+    /// Random score vectors of K ∈ {1, 2, 3, 7} classes: ordinary draws at
+    /// three scales mixed with ties, ±∞, NaN and magnitudes near 1e±300.
+    pub(crate) fn hostile_vectors(seed: u64, n: usize) -> Vec<Vec<f64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let k = [1, 2, 3, 7][rng.random_range(0..4usize)];
+                let mut v: Vec<f64> = Vec::with_capacity(k);
+                while v.len() < k {
+                    let x = match rng.random_range(0..24u32) {
+                        0..=3 if !v.is_empty() => v[rng.random_range(0..v.len())],
+                        4 => f64::INFINITY,
+                        5 => f64::NEG_INFINITY,
+                        6 => f64::NAN,
+                        7 | 8 => rng.random_range(-1.0..1.0) * 1e300,
+                        9 | 10 => rng.random_range(-1.0..1.0) * 1e-300,
+                        _ => {
+                            rng.random_range(-1.0..1.0)
+                                * [1.0, 30.0, 1e3][rng.random_range(0..3usize)]
+                        }
+                    };
+                    v.push(x);
+                }
+                v
+            })
+            .collect()
+    }
+
+    /// Non-negative gaps straddling every threshold's gate cutoff
+    /// ([`crate::min_commit_gap`]) and its exact logit by up to 4 ulps, plus
+    /// gaps where `e^{−g}` vanishes next to 1 (g ≈ 37) and where it
+    /// underflows outright (g > 745).
+    pub(crate) fn boundary_gaps() -> Vec<f64> {
+        let mut gaps = vec![36.0, 37.0, 38.0, 745.0, 745.2, 746.0, 800.0, 1e4];
+        for theta in THETAS {
+            for centre in [crate::min_commit_gap(theta), (theta / (1.0 - theta)).ln()] {
+                if !centre.is_finite() {
+                    continue;
+                }
+                gaps.push(centre);
+                let (mut up, mut down) = (centre, centre);
+                for _ in 0..4 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    gaps.push(up);
+                    gaps.push(down);
+                }
+            }
+        }
+        gaps.retain(|&g| g >= 0.0);
+        gaps
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_commit_gap_is_the_slackened_logit() {
+        for theta in [0.5, 0.5 + 1e-12, 0.5 + COMMIT_GATE_SLACK, f64::NAN] {
+            assert_eq!(min_commit_gap(theta), f64::NEG_INFINITY, "θ = {theta}");
+        }
+        let t = 0.8 - COMMIT_GATE_SLACK;
+        assert_eq!(min_commit_gap(0.8), (t / (1.0 - t)).ln());
+        // θ = 1 leaves a finite cutoff, far below the ~745 gap at which the
+        // softmax starts returning exactly 1.0.
+        let top = min_commit_gap(1.0);
+        assert!((20.0..21.0).contains(&top), "{top}");
+        let mut last = f64::NEG_INFINITY;
+        for theta in gate_cases::THETAS {
+            assert!(min_commit_gap(theta) >= last, "monotone in θ");
+            last = min_commit_gap(theta);
+        }
+    }
+
+    #[test]
+    fn top_logit_gap_needs_two_finite_logits() {
+        assert_eq!(top_logit_gap([]), None);
+        assert_eq!(top_logit_gap([3.0]), None);
+        assert_eq!(top_logit_gap([3.0, 1.0]), Some(2.0));
+        assert_eq!(top_logit_gap([1.0, 3.0, 2.5]), Some(0.5));
+        assert_eq!(top_logit_gap([2.0, 2.0, -1.0]), Some(0.0), "ties");
+        assert_eq!(top_logit_gap([1.0, f64::NAN]), None);
+        assert_eq!(top_logit_gap([1.0, f64::NEG_INFINITY]), None);
+        assert_eq!(top_logit_gap([f64::INFINITY, 1.0]), None);
+    }
 
     #[test]
     fn argmax_basic_and_ties() {

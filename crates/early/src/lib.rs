@@ -197,8 +197,8 @@ pub fn resume_session<'a, C: EarlyClassifier + ?Sized>(
 /// Minimum number of concurrent sessions before a one-sample fan-out
 /// ([`MultiSession::push_all`]) is worth worker threads. The spawn round
 /// paid on *every* push costs ~10µs per worker, while a typical incremental
-/// push is single-digit microseconds (and O(1) bookkeeping once latched),
-/// so the fleet must be in the hundreds before fan-out wins.
+/// push costs tens to hundreds of nanoseconds (and O(1) bookkeeping once
+/// latched), so the fleet must be in the hundreds before fan-out wins.
 pub(crate) const PAR_MIN_SESSIONS: usize = 512;
 
 /// The two largest values of a probability vector `(best, second)`, both

@@ -24,12 +24,24 @@
 //! * **Rel. Class.** — per-class diagonal covariances (quadratic boundary).
 //! * **LDG Rel. Class.** — pooled ("linear discriminant Gaussian")
 //!   covariance, giving a linear boundary.
+//!
+//! ## The reliability early-out
+//!
+//! Sessions bound the margin before paying for the softmax. With `g` the
+//! gap between the top two calibrated (`/t`-scaled) logits, the posterior
+//! margin is `p₁ − p₂ ≤ tanh(g/2) ≤ g/2` for any class count (see
+//! [`ScoreSession::logit_gap`]), so a push with
+//! `(g/2)·observed < τ − 1e-9` returns `Wait` without the softmax. The
+//! `1e-9` slack covers the softmax's rounding. A non-finite logit or fewer
+//! than two classes gives no bound, and the exact path runs whenever the
+//! bound cannot rule out a commit, so decisions and confidences are
+//! bit-identical to the ungated evaluation.
 
 use etsc_classifiers::gaussian::{
     softmax_of_logs_in_place, CovarianceKind, GaussianLikelihoodSession, GaussianModel,
     GaussianZnormSession,
 };
-use etsc_classifiers::{Classifier, ScoreSession};
+use etsc_classifiers::{top_logit_gap, Classifier, ScoreSession, COMMIT_GATE_SLACK};
 use etsc_core::{ClassLabel, UcrDataset};
 use etsc_persist::{Decoder, Encoder, Persist, PersistError};
 
@@ -72,6 +84,9 @@ impl RelClassConfig {
 }
 
 /// A fitted RelClass model.
+///
+/// Its sessions skip the softmax on pushes whose logit gap proves τ out of
+/// reach, with bit-identical decisions (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct RelClass {
     model: GaussianModel,
@@ -102,9 +117,7 @@ impl RelClass {
         let t = prefix.len().min(self.model.series_len()).max(1) as f64;
         let logs: Vec<f64> = (0..self.model.n_classes())
             .map(|c| {
-                (self.model.class_prior(c).max(1e-12).ln()
-                    + self.model.log_likelihood_prefix(c, prefix))
-                    / t
+                (self.model.class_log_prior(c) + self.model.log_likelihood_prefix(c, prefix)) / t
             })
             .collect();
         etsc_classifiers::gaussian::softmax_of_logs(&logs)
@@ -320,14 +333,21 @@ impl DecisionSession for RelClassSession<'_> {
         let t = self.scorer.len().min(series_len).max(1) as f64;
         self.scorer.log_likelihoods_into(&mut self.ll);
         for (c, out) in self.posterior.iter_mut().enumerate() {
-            *out = (model.model.class_prior(c).max(1e-12).ln() + self.ll[c]) / t;
+            *out = (model.model.class_log_prior(c) + self.ll[c]) / t;
+        }
+        let observed = self.scorer.len().min(series_len) as f64 / series_len as f64;
+        // The reliability early-out (module docs): the margin is at most
+        // g/2, so this push provably cannot reach τ.
+        if top_logit_gap(self.posterior.iter().copied())
+            .is_some_and(|g| g / 2.0 * observed < model.tau - COMMIT_GATE_SLACK)
+        {
+            return Decision::Wait;
         }
         softmax_of_logs_in_place(&mut self.posterior);
         let label = etsc_classifiers::argmax(&self.posterior);
         // Reliability: posterior margin discounted by observed fraction
         // (mirrors `reliability`).
         let (best, second) = crate::top_two(&self.posterior);
-        let observed = self.scorer.len().min(series_len) as f64 / series_len as f64;
         if (best - second) * observed >= model.tau {
             self.decision = Decision::Predict {
                 label,

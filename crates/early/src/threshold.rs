@@ -6,8 +6,27 @@
 //! This wraps any probabilistic whole-series classifier whose
 //! `predict_proba` accepts prefixes (nearest-centroid, Gaussian models,
 //! WEASEL-lite all do).
+//!
+//! ## The commit-test early-out
+//!
+//! In a stream almost every push answers `Wait`, yet an exact answer needs
+//! the full softmax (an `exp` and a divide per class) only to compare its
+//! top probability with θ. Sessions therefore ask the scorer for its logit
+//! gap `g` first ([`ScoreSession::logit_gap`]): the top probability is at
+//! most `σ(g)` for any class count, so when
+//! `g < logit(θ − 1e-9)` ([`min_commit_gap`], computed once in
+//! [`ProbThreshold::new`]) the push returns `Wait` without scoring. The
+//! `1e-9` slack covers the softmax's rounding, including the rounding (and,
+//! past `g > 745`, the `exp` underflow) that returns exactly `1.0`, which
+//! θ = 1 must still let through. Nothing is skipped when
+//! `θ − 1e-9 ≤ 0.5` (two tied classes already reach 0.5), when a logit is
+//! not finite, with fewer than two classes, or for scorers without a bound
+//! (the buffering fallback and external scorers). Whenever the bound cannot
+//! rule out a commit the exact path runs, so decisions and confidences are
+//! bit-identical to the ungated loop, and since the probability scratch
+//! buffer is not part of the checkpoint, neither are checkpoint bytes.
 
-use etsc_classifiers::{argmax, Classifier, ScoreSession};
+use etsc_classifiers::{argmax, min_commit_gap, Classifier, ScoreSession};
 use etsc_core::ClassLabel;
 use etsc_persist::{Decoder, Encoder, Persist, PersistError};
 
@@ -21,10 +40,17 @@ const TAG_RESCORE: u8 = 24;
 
 /// An early classifier that commits when the wrapped model's class
 /// probability exceeds a user threshold.
+///
+/// Its sessions skip the softmax on pushes whose logit gap proves the
+/// threshold out of reach, with bit-identical decisions (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct ProbThreshold<C> {
     inner: C,
     threshold: f64,
+    /// `min_commit_gap(threshold)`: a scorer whose logit gap is below it
+    /// cannot reach the threshold (derived, never persisted).
+    commit_gap: f64,
     series_len: usize,
     min_prefix: usize,
 }
@@ -39,6 +65,7 @@ impl<C: Classifier> ProbThreshold<C> {
         Self {
             inner,
             threshold,
+            commit_gap: min_commit_gap(threshold),
             series_len,
             min_prefix: min_prefix.max(1),
         }
@@ -275,6 +302,15 @@ impl<C: Classifier> DecisionSession for ProbThresholdSession<'_, C> {
         }
         self.scorer.push(x);
         if self.scorer.len() < self.model.min_prefix {
+            return Decision::Wait;
+        }
+        // The commit-test early-out (module docs): a gap this small proves
+        // the top probability is below θ.
+        if self
+            .scorer
+            .logit_gap()
+            .is_some_and(|g| g < self.model.commit_gap)
+        {
             return Decision::Wait;
         }
         self.scorer.predict_proba_into(&mut self.proba);

@@ -3,6 +3,12 @@
 //! every `EarlyClassifier` implementor — the incremental session API
 //! reproduces the stateless grow-the-prefix `decide` loop.
 
+use etsc_classifiers::centroid::NearestCentroid;
+use etsc_classifiers::gaussian::{
+    softmax_of_logs_in_place, CovarianceKind, GaussianLikelihoodSession, GaussianModel,
+    GaussianZnormSession,
+};
+use etsc_classifiers::{argmax, Classifier, ScoreSession};
 use etsc_core::UcrDataset;
 use etsc_early::costaware::{CostAware, CostAwareConfig};
 use etsc_early::ecdire::{Ecdire, EcdireConfig};
@@ -108,6 +114,239 @@ fn assert_per_prefix_session_tracks_reference(clf: &dyn EarlyClassifier, series:
         }
         _ => panic!("one path committed, the other never did: {a:?} vs {b:?}"),
     }
+}
+
+/// `series` with one sample replaced by NaN, +∞ or −∞ (the non-finite
+/// inputs ingest passes through) at a `salt`-dependent position past the
+/// first four; every third probe stays finite.
+fn with_non_finite(series: &[f64], salt: u64, probe: usize) -> Vec<f64> {
+    let mut s = series.to_vec();
+    let k = salt as usize + probe;
+    if !k.is_multiple_of(3) {
+        let pos = 4 + (salt as usize * 7 + probe * 5) % (s.len() - 4);
+        s[pos] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][k % 3];
+    }
+    s
+}
+
+/// Thresholds that land a commit exactly at, just above and 1e-12 below
+/// one of a probe's own trace values (the `pick`-th finite one), kept in
+/// `(0, 1]`.
+fn thresholds_near(trace: &[f64], pick: usize) -> Vec<f64> {
+    let finite: Vec<f64> = trace.iter().copied().filter(|v| v.is_finite()).collect();
+    let Some(&v) = finite.get(pick % finite.len().max(1)) else {
+        return Vec::new();
+    };
+    [v, v.next_up(), v - 1e-12]
+        .into_iter()
+        .filter(|t| *t > 0.0 && *t <= 1.0)
+        .collect()
+}
+
+/// Assert two per-push decision sequences agree exactly: same commits, same
+/// labels, bit-equal confidences. Returns whether they commit.
+fn assert_same_decisions(gated: &[Decision], ungated: &[Decision], what: &str) -> bool {
+    assert_eq!(gated.len(), ungated.len(), "{what}");
+    for (t, (a, b)) in gated.iter().zip(ungated).enumerate() {
+        let same = match (a.label_confidence(), b.label_confidence()) {
+            (None, None) => true,
+            (Some((la, ca)), Some((lb, cb))) => la == lb && ca.to_bits() == cb.to_bits(),
+            _ => false,
+        };
+        assert!(same, "{what}: push {}: gated {a:?}, ungated {b:?}", t + 1);
+    }
+    ungated.last().is_some_and(Decision::is_predict)
+}
+
+/// The ungated `ProbThreshold` session: every push scores, takes the argmax
+/// and compares it with θ — the loop before the commit-test early-out.
+fn ungated_prob_threshold(
+    mut scorer: Box<dyn ScoreSession + '_>,
+    n_classes: usize,
+    theta: f64,
+    min_prefix: usize,
+    series: &[f64],
+) -> Vec<Decision> {
+    let mut proba = vec![0.0; n_classes];
+    let mut decision = Decision::Wait;
+    series
+        .iter()
+        .map(|&x| {
+            if decision.is_predict() {
+                return decision;
+            }
+            scorer.push(x);
+            if scorer.len() < min_prefix {
+                return Decision::Wait;
+            }
+            scorer.predict_proba_into(&mut proba);
+            let label = argmax(&proba);
+            if proba[label] >= theta {
+                decision = Decision::Predict {
+                    label,
+                    confidence: proba[label],
+                };
+            }
+            decision
+        })
+        .collect()
+}
+
+/// `ProbThreshold` sessions of `model` against the ungated loop over the
+/// same scorer, under both norms, on every series of `d` (some with a
+/// non-finite sample), at thresholds picked from each probe's own top-
+/// probability trace. Returns how many runs committed.
+fn assert_prob_threshold_gate_is_exact<C: Classifier + Clone>(
+    model: &C,
+    d: &UcrDataset,
+    salt: u64,
+    what: &str,
+) -> usize {
+    let min_prefix = 2;
+    let k = model.n_classes();
+    let mut commits = 0;
+    for norm in [SessionNorm::Raw, SessionNorm::PerPrefix] {
+        let open = || {
+            match norm {
+                SessionNorm::Raw => model.score_session(),
+                SessionNorm::PerPrefix => model.score_session_znorm(),
+            }
+            .expect("built-in scorers are incremental")
+        };
+        for (i, (s, _)) in d.iter().enumerate() {
+            let series = with_non_finite(s, salt, i);
+            let mut scorer = open();
+            let mut proba = vec![0.0; k];
+            let trace: Vec<f64> = series
+                .iter()
+                .map(|&x| {
+                    scorer.push(x);
+                    scorer.predict_proba_into(&mut proba);
+                    proba[argmax(&proba)]
+                })
+                .collect();
+            for theta in thresholds_near(&trace[min_prefix - 1..], salt as usize + i) {
+                let pt = ProbThreshold::new(model.clone(), theta, d.series_len(), min_prefix);
+                let mut session = pt.session(norm);
+                let gated: Vec<Decision> = series.iter().map(|&x| session.push(x)).collect();
+                let ungated = ungated_prob_threshold(open(), k, theta, min_prefix, &series);
+                let label = format!("{what} {norm:?} probe {i} θ = {theta}");
+                commits += usize::from(assert_same_decisions(&gated, &ungated, &label));
+            }
+        }
+    }
+    commits
+}
+
+/// RelClass's calibrated posterior recomputed at every push from the public
+/// likelihood sessions, with no early-out: `(label, confidence,
+/// reliability)` per push.
+struct UngatedRelClass<'a> {
+    model: &'a GaussianModel,
+    norm: SessionNorm,
+    raw: GaussianLikelihoodSession<'a>,
+    znorm: GaussianZnormSession<'a>,
+    ll: Vec<f64>,
+    posterior: Vec<f64>,
+    pushed: usize,
+}
+
+impl<'a> UngatedRelClass<'a> {
+    fn new(model: &'a GaussianModel, norm: SessionNorm) -> Self {
+        Self {
+            model,
+            norm,
+            raw: model.likelihood_session(),
+            znorm: model.znorm_likelihood_session(),
+            ll: vec![0.0; model.n_classes()],
+            posterior: vec![0.0; model.n_classes()],
+            pushed: 0,
+        }
+    }
+
+    fn push(&mut self, x: f64) -> (usize, f64, f64) {
+        self.pushed += 1;
+        match self.norm {
+            SessionNorm::Raw => {
+                self.raw.push(x);
+                self.ll.copy_from_slice(self.raw.log_likelihoods());
+            }
+            SessionNorm::PerPrefix => {
+                self.znorm.push(x);
+                self.znorm.log_likelihoods_into(&mut self.ll);
+            }
+        }
+        let len = self.model.series_len();
+        let t = self.pushed.min(len).max(1) as f64;
+        for (c, p) in self.posterior.iter_mut().enumerate() {
+            *p = (self.model.class_prior(c).max(1e-12).ln() + self.ll[c]) / t;
+        }
+        softmax_of_logs_in_place(&mut self.posterior);
+        let label = argmax(&self.posterior);
+        let (mut best, mut second) = (0.0f64, 0.0f64);
+        for &v in &self.posterior {
+            if v > best {
+                second = best;
+                best = v;
+            } else if v > second {
+                second = v;
+            }
+        }
+        let observed = self.pushed.min(len) as f64 / len as f64;
+        (label, self.posterior[label], (best - second) * observed)
+    }
+}
+
+/// RelClass sessions against [`UngatedRelClass`] for every covariance kind
+/// and both norms, on every series of `d` (some with a non-finite sample),
+/// at τ picked from each probe's own reliability trace. Returns how many
+/// runs committed.
+fn assert_relclass_gate_is_exact(d: &UcrDataset, salt: u64) -> usize {
+    let min_prefix = 3;
+    let mut commits = 0;
+    for kind in [
+        CovarianceKind::Diagonal,
+        CovarianceKind::PooledDiagonal,
+        CovarianceKind::Full,
+    ] {
+        let model = GaussianModel::fit(d, kind);
+        for norm in [SessionNorm::Raw, SessionNorm::PerPrefix] {
+            for (i, (s, _)) in d.iter().enumerate() {
+                let series = with_non_finite(s, salt, i);
+                let mut probe = UngatedRelClass::new(&model, norm);
+                let trace: Vec<f64> = series.iter().map(|&x| probe.push(x).2).collect();
+                for tau in thresholds_near(&trace[min_prefix - 1..], salt as usize + i) {
+                    let rc = RelClass::fit(
+                        d,
+                        &RelClassConfig {
+                            tau,
+                            covariance: kind,
+                            min_prefix,
+                        },
+                    );
+                    let mut session = rc.session(norm);
+                    let gated: Vec<Decision> = series.iter().map(|&x| session.push(x)).collect();
+                    let mut reference = UngatedRelClass::new(&model, norm);
+                    let mut decision = Decision::Wait;
+                    let ungated: Vec<Decision> = series
+                        .iter()
+                        .map(|&x| {
+                            if !decision.is_predict() {
+                                let (label, confidence, reliability) = reference.push(x);
+                                if reference.pushed >= min_prefix && reliability >= tau {
+                                    decision = Decision::Predict { label, confidence };
+                                }
+                            }
+                            decision
+                        })
+                        .collect();
+                    let label = format!("{kind:?} {norm:?} probe {i} τ = {tau}");
+                    commits += usize::from(assert_same_decisions(&gated, &ungated, &label));
+                }
+            }
+        }
+    }
+    commits
 }
 
 /// A small seeded two-class dataset with adjustable separation point.
@@ -268,6 +507,10 @@ proptest! {
                 assert_session_reproduces_decide(&m, s);
             }
         }
+        // The reliability early-out is exact: every covariance kind under
+        // both norms matches the ungated posterior loop push for push, with
+        // τ grazing each probe's own reliabilities and non-finite samples.
+        prop_assert!(assert_relclass_gate_is_exact(&d, salt) > 0, "no run committed");
     }
 
     #[test]
@@ -326,15 +569,20 @@ proptest! {
     #[test]
     fn prob_threshold_sessions_reproduce_decide(salt in 0u64..40, thr in 0.55f64..0.95) {
         let d = dataset(5, 24, 0, salt);
-        let m = ProbThreshold::new(
-            etsc_classifiers::centroid::NearestCentroid::fit(&d),
-            thr,
-            24,
-            2,
-        );
+        let m = ProbThreshold::new(NearestCentroid::fit(&d), thr, 24, 2);
         for (s, _) in d.iter() {
             assert_session_reproduces_decide(&m, s);
         }
+        // The commit-test early-out is exact: every built-in scorer under
+        // both norms matches the ungated scoring loop push for push, with
+        // θ grazing each probe's own probabilities and non-finite samples.
+        let mut commits =
+            assert_prob_threshold_gate_is_exact(&NearestCentroid::fit(&d), &d, salt, "centroid");
+        for kind in [CovarianceKind::Diagonal, CovarianceKind::Full] {
+            let what = format!("gaussian {kind:?}");
+            commits += assert_prob_threshold_gate_is_exact(&GaussianModel::fit(&d, kind), &d, salt, &what);
+        }
+        prop_assert!(commits > 0, "no run committed");
     }
 
     #[test]
@@ -362,7 +610,6 @@ proptest! {
         // closed-form running sums regroup the batch arithmetic, so commits
         // may shift by at most one sample at threshold grazes.
         let d = dataset(5, 24, split, salt);
-        use etsc_classifiers::gaussian::{CovarianceKind, GaussianModel};
         let rc_diag = RelClass::fit(&d, &RelClassConfig::default());
         let rc_ldg = RelClass::fit(&d, &RelClassConfig::ldg(0.1));
         let rc_full = RelClass::fit(

@@ -38,10 +38,11 @@ use etsc_persist::{Encoder, PersistError};
 pub const MONITOR_STATE_KIND: &str = "StreamMonitorAnchors";
 
 /// Minimum live-anchor count before the per-sample fan-out is worth worker
-/// threads. The spawn round paid on *every* sample costs ~10µs per worker
-/// against single-digit-microsecond pushes (O(1) bookkeeping once a session
-/// latches), so only dense anchor populations — small strides over long
-/// patterns — clear it.
+/// threads. The spawn round paid on *every* sample costs ~10µs per worker,
+/// while a session push costs tens of nanoseconds (the perfbench ledger's
+/// `early.push_ns` for `ProbThreshold<NearestCentroid>`; O(1) bookkeeping
+/// once a session latches), so only dense anchor populations — hundreds of
+/// anchors, from small strides over long patterns — clear it.
 const PAR_MIN_ANCHORS: usize = 512;
 
 /// Normalization applied to each anchored prefix before classification.
