@@ -21,6 +21,13 @@
 //! commit-test early-out on every push, so their figures are the gated
 //! push — the common `Wait` of a stream — not the full softmax.
 //!
+//! Each row also reports `monitor_stride16_sample_ns`: ns per sample of a
+//! [`StreamMonitor`] at anchor stride 16 over the same probe — the session
+//! fan-out a stream deployment pays, as the monitor runs it: through the
+//! model's lane block ([`EarlyClassifier::lanes`]) where it has one, one
+//! session per anchor otherwise. The fitted length exceeds the probe, so no
+//! anchor retires and up to 40 are live at once.
+//!
 //! Writes `BENCH_sessions.json` into the current directory.
 //!
 //! Run: `cargo run --release -p etsc-bench --bin bench_sessions [--quick]`
@@ -39,6 +46,7 @@ use etsc_early::relclass::{RelClass, RelClassConfig};
 use etsc_early::template::TemplateMatcher;
 use etsc_early::threshold::ProbThreshold;
 use etsc_early::{DecisionSession, EarlyClassifier, ReplaySession, SessionNorm};
+use etsc_stream::{StreamMonitor, StreamMonitorConfig, StreamNorm};
 
 const SERIES_LEN: usize = 512;
 /// Pushes timed after the warm-up for the marginal (at-prefix-512) figure.
@@ -147,12 +155,31 @@ fn measure<'a>(
     }
 }
 
+/// Median ns per sample of a fresh stride-16 [`StreamMonitor`] over `probe`.
+fn measure_monitor(reps: usize, probe: &[f64], clf: &dyn EarlyClassifier, norm: StreamNorm) -> f64 {
+    let cfg = StreamMonitorConfig {
+        anchor_stride: 16,
+        norm,
+        refractory: 0,
+    };
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let mut monitor = StreamMonitor::new(clf, cfg);
+            let t0 = Instant::now();
+            std::hint::black_box(monitor.run(probe));
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    median(&mut samples) * 1e9 / probe.len() as f64
+}
+
 struct Row {
     algorithm: &'static str,
     norm: &'static str,
     converted: bool,
     replay: PathCost,
     incremental: PathCost,
+    monitor_ns: f64,
 }
 
 impl Row {
@@ -175,9 +202,9 @@ fn bench_combo(
     clf: &dyn EarlyClassifier,
     norm: SessionNorm,
 ) {
-    let norm_name = match norm {
-        SessionNorm::Raw => "raw",
-        SessionNorm::PerPrefix => "per-prefix",
+    let (norm_name, stream_norm) = match norm {
+        SessionNorm::Raw => ("raw", StreamNorm::Raw),
+        SessionNorm::PerPrefix => ("per-prefix", StreamNorm::PerPrefix),
     };
     let replay = measure(reps, probe, || Box::new(ReplaySession::new(clf, norm)));
     let incremental = measure(reps, probe, || clf.session(norm));
@@ -187,14 +214,16 @@ fn bench_combo(
         converted,
         replay,
         incremental,
+        monitor_ns: measure_monitor(reps, probe, clf, stream_norm),
     };
     let marginal = row
         .marginal_speedup()
         .map_or("latched".to_string(), |s| format!("{s:8.1}x"));
     println!(
-        "  {algorithm:<15} {norm_name:<10} replay {:9.1} ns/push   incremental {:9.1} ns/push   @512: {marginal}{}",
+        "  {algorithm:<15} {norm_name:<10} replay {:9.1} ns/push   incremental {:9.1} ns/push   @512: {marginal}   monitor {:9.1} ns/sample{}",
         row.replay.amortized_ns,
         row.incremental.amortized_ns,
+        row.monitor_ns,
         if converted { "  *" } else { "" }
     );
     rows.push(row);
@@ -372,7 +401,7 @@ fn main() {
             "    {{\"algorithm\": \"{}\", \"norm\": \"{}\", \"converted_this_pr\": {}, \
              \"replay_amortized_ns_per_push\": {:.1}, \"incremental_amortized_ns_per_push\": {:.1}, \
              \"replay_marginal_ns_per_push_at_512\": {}, \"incremental_marginal_ns_per_push_at_512\": {}, \
-             \"marginal_speedup_at_512\": {}, \"commit_step\": {}}}{}",
+             \"marginal_speedup_at_512\": {}, \"commit_step\": {}, \"monitor_stride16_sample_ns\": {:.1}}}{}",
             r.algorithm,
             r.norm,
             r.converted,
@@ -382,6 +411,7 @@ fn main() {
             fmt_opt(r.incremental.marginal_ns),
             fmt_opt(r.marginal_speedup()),
             fmt_commit(r.incremental.commit),
+            r.monitor_ns,
             if i + 1 < rows.len() { "," } else { "" }
         );
     }

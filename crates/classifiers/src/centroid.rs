@@ -3,11 +3,13 @@
 //! Cheap, deterministic, and probabilistic — useful both as a baseline and
 //! as a slave classifier where a full WEASEL pipeline is overkill.
 
+use std::borrow::Cow;
+
 use etsc_core::distance::euclidean;
 use etsc_core::UcrDataset;
 use etsc_persist::{Decoder, Encoder, Persist, PersistError};
 
-use crate::{Classifier, ScoreSession};
+use crate::{argmax, Classifier, LaneTop, ScoreLanes, ScoreSession};
 
 /// State-schema tag for [`CentroidScoreSession`] checkpoints.
 const TAG_RAW: u8 = 20;
@@ -21,6 +23,51 @@ pub struct NearestCentroid {
     /// Softmax temperature applied to negative distances when producing
     /// probabilities. Larger = sharper.
     beta: f64,
+    /// Derived from the centroids at fit and decode; never persisted.
+    tables: Tables,
+}
+
+/// Constants the scorers look up by prefix length `m` (the samples that
+/// fall inside the centroids, `0..=len`), for `K` classes.
+#[derive(Debug, Clone)]
+struct Tables {
+    /// Centroid length.
+    len: usize,
+    /// Coordinates position-major: `coords[i·K + c]` is class `c` at `i`.
+    coords: Vec<f64>,
+    /// `√max(m, 1)`: the distances' length normalization.
+    root: Vec<f64>,
+    /// `Σ_{i<m} cᵢ` per class at `sum[m·K + c]`, added from 0.0 in position
+    /// order — the terms and order of the z-norm session's running sums, so
+    /// entry `m` holds the value that session reaches after `m` samples.
+    sum: Vec<f64>,
+    /// `Σ_{i<m} cᵢ²` per class, likewise.
+    sum_sq: Vec<f64>,
+}
+
+impl Tables {
+    fn new(centroids: &[Vec<f64>]) -> Self {
+        let k = centroids.len();
+        let len = centroids.first().map_or(0, Vec::len);
+        let coords: Vec<f64> = (0..len)
+            .flat_map(|i| centroids.iter().map(move |c| c[i]))
+            .collect();
+        let mut sum = vec![0.0; (len + 1) * k];
+        let mut sum_sq = vec![0.0; (len + 1) * k];
+        for (i, row) in coords.chunks_exact(k).enumerate() {
+            for (c, &ci) in row.iter().enumerate() {
+                sum[(i + 1) * k + c] = sum[i * k + c] + ci;
+                sum_sq[(i + 1) * k + c] = sum_sq[i * k + c] + ci * ci;
+            }
+        }
+        Self {
+            len,
+            coords,
+            root: (0..=len).map(|m| (m.max(1) as f64).sqrt()).collect(),
+            sum,
+            sum_sq,
+        }
+    }
 }
 
 impl NearestCentroid {
@@ -48,10 +95,23 @@ impl NearestCentroid {
                 sum.iter_mut().for_each(|v| *v *= inv);
             }
         }
+        Self::from_parts(sums, beta)
+    }
+
+    /// A model over `centroids` (equal lengths) with its derived tables.
+    fn from_parts(centroids: Vec<Vec<f64>>, beta: f64) -> Self {
+        let tables = Tables::new(&centroids);
         Self {
-            centroids: sums,
+            centroids,
             beta,
+            tables,
         }
+    }
+
+    /// `(n, √n)` for a scorer that has consumed `consumed` samples: `n` is
+    /// the number of centroid coordinates compared, floored at 1.
+    fn norm_len(&self, consumed: usize) -> (f64, f64) {
+        norm_len(&self.tables.root, consumed)
     }
 
     /// The centroid of class `c`.
@@ -74,7 +134,7 @@ impl NearestCentroid {
     /// The logit the distance softmax exponentiates for a class at distance
     /// `d` when the nearest centroid sits at distance `min`.
     fn logit(&self, d: f64, min: f64) -> f64 {
-        -self.beta * (d - min)
+        logit(self.beta, d, min)
     }
 
     /// Softmax over negative length-normalized distances, written into
@@ -98,26 +158,41 @@ impl NearestCentroid {
     /// `None` for a non-finite distance, fewer than two classes, or a β that
     /// is not positive and finite (which reverses or flattens the ranking).
     fn distance_logit_gap(&self, dists: impl Iterator<Item = f64>) -> Option<f64> {
-        if !(self.beta > 0.0 && self.beta.is_finite()) {
-            return None;
-        }
-        let mut d1 = f64::INFINITY;
-        let mut d2 = f64::INFINITY;
-        let mut k = 0usize;
-        for d in dists {
-            if !d.is_finite() {
-                return None;
-            }
-            if d < d1 {
-                d2 = d1;
-                d1 = d;
-            } else if d < d2 {
-                d2 = d;
-            }
-            k += 1;
-        }
-        (k >= 2).then(|| -self.logit(d2, d1))
+        distance_logit_gap(self.beta, dists)
     }
+}
+
+/// [`NearestCentroid::norm_len`] from the `√max(m, 1)` table.
+fn norm_len(root: &[f64], consumed: usize) -> (f64, f64) {
+    let m = consumed.min(root.len() - 1);
+    (m.max(1) as f64, root[m])
+}
+
+/// [`NearestCentroid::logit`] at temperature `beta`.
+fn logit(beta: f64, d: f64, min: f64) -> f64 {
+    -beta * (d - min)
+}
+
+/// [`NearestCentroid::distance_logit_gap`] at temperature `beta`. It draws
+/// every distance from `dists` whatever the distances and `beta`, so an
+/// iterator that computes and stores distances leaves all of them stored.
+fn distance_logit_gap(beta: f64, dists: impl Iterator<Item = f64>) -> Option<f64> {
+    let mut d1 = f64::INFINITY;
+    let mut d2 = f64::INFINITY;
+    let mut k = 0usize;
+    let mut finite = true;
+    for d in dists {
+        finite &= d.is_finite();
+        if d < d1 {
+            d2 = d1;
+            d1 = d;
+        } else if d < d2 {
+            d2 = d;
+        }
+        k += 1;
+    }
+    let ranked = beta > 0.0 && beta.is_finite();
+    (ranked && finite && k >= 2).then(|| -logit(beta, d2, d1))
 }
 
 /// Incremental per-sample scorer for [`NearestCentroid`]: maintains the
@@ -136,10 +211,39 @@ impl CentroidScoreSession<'_> {
     /// Length-normalized distance to every centroid: the input of both the
     /// softmax and the [`ScoreSession::logit_gap`] bound.
     fn distances(&self) -> impl Iterator<Item = f64> + '_ {
-        let n = self.len.min(self.model.centroids[0].len()).max(1);
-        let root_n = (n as f64).sqrt();
-        self.sq.iter().map(move |&s| s.sqrt() / root_n)
+        let (_, root_n) = self.model.norm_len(self.len);
+        self.sq.iter().map(move |&s| raw_distance(s, root_n))
     }
+}
+
+/// Length-normalized distance from a running squared distance `sq` —
+/// shared by [`CentroidScoreSession`] and the raw [`ScoreLanes`].
+fn raw_distance(sq: f64, root_n: f64) -> f64 {
+    sq.sqrt() / root_n
+}
+
+/// Write a raw scorer's state (the [`CentroidScoreSession`] checkpoint).
+fn encode_raw(enc: &mut Encoder, sq: &[f64], len: usize) {
+    enc.put_u8(TAG_RAW);
+    enc.put_f64_slice(sq);
+    enc.put_usize(len);
+}
+
+/// Read a raw scorer's state for a `k`-class model: `(sq, len)`.
+fn decode_raw(dec: &mut Decoder<'_>, k: usize) -> Result<(Vec<f64>, usize), PersistError> {
+    if dec.get_u8("centroid session tag")? != TAG_RAW {
+        return Err(PersistError::Corrupt(
+            "centroid session: wrong state tag".into(),
+        ));
+    }
+    let sq = dec.get_f64_vec("centroid session sq")?;
+    if sq.len() != k {
+        return Err(PersistError::Corrupt(format!(
+            "centroid session: {} classes in state, model has {k}",
+            sq.len()
+        )));
+    }
+    Ok((sq, dec.get_usize("centroid session len")?))
 }
 
 impl ScoreSession for CentroidScoreSession<'_> {
@@ -176,28 +280,12 @@ impl ScoreSession for CentroidScoreSession<'_> {
     }
 
     fn save_state(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u8(TAG_RAW);
-        enc.put_f64_slice(&self.sq);
-        enc.put_usize(self.len);
+        encode_raw(enc, &self.sq, self.len);
         Ok(())
     }
 
     fn load_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
-        if dec.get_u8("centroid session tag")? != TAG_RAW {
-            return Err(PersistError::Corrupt(
-                "centroid session: wrong state tag".into(),
-            ));
-        }
-        let sq = dec.get_f64_vec("centroid session sq")?;
-        if sq.len() != self.sq.len() {
-            return Err(PersistError::Corrupt(format!(
-                "centroid session: {} classes in state, model has {}",
-                sq.len(),
-                self.sq.len()
-            )));
-        }
-        self.sq = sq;
-        self.len = dec.get_usize("centroid session len")?;
+        (self.sq, self.len) = decode_raw(dec, self.sq.len())?;
         Ok(())
     }
 }
@@ -248,17 +336,45 @@ impl CentroidZnormScoreSession<'_> {
     /// centroid: the input of both the softmax and the
     /// [`ScoreSession::logit_gap`] bound.
     fn distances(&self) -> impl Iterator<Item = f64> + '_ {
-        let n = self.len.min(self.model.centroids[0].len()).max(1);
-        let root_n = (n as f64).sqrt();
+        let terms = ZnormTerms::new(
+            self.model.norm_len(self.len),
+            [self.s1, self.s2, self.s1_cap, self.s2_cap],
+            self.len,
+        );
+        self.sxc
+            .iter()
+            .zip(&self.sc)
+            .zip(&self.scc)
+            .map(move |((&sxc, &sc), &scc)| terms.distance(sxc, sc, scc))
+    }
+}
+
+/// The class-independent terms of the z-norm distance at one prefix —
+/// shared by [`CentroidZnormScoreSession`] and the z-norm [`ScoreLanes`].
+#[derive(Clone, Copy)]
+struct ZnormTerms {
+    u: f64,
+    v: f64,
+    nf: f64,
+    root_n: f64,
+    s1_cap: f64,
+    s2_cap: f64,
+}
+
+impl ZnormTerms {
+    /// Terms after `len` samples with running sums
+    /// `[Σx, Σx², Σx capped, Σx² capped]`, whose length normalization
+    /// [`NearestCentroid::norm_len`] is `(nf, root_n)`.
+    fn new((nf, root_n): (f64, f64), [s1, s2, s1_cap, s2_cap]: [f64; 4], len: usize) -> Self {
         // Normalization parameters of the *whole* prefix (uncapped sums),
         // matching `znormalize` of the full buffer; `(0, 0)` maps a
         // constant prefix to all zeros, the batch convention.
-        let (u, v) = if self.len == 0 {
+        let (u, v) = if len == 0 {
             (0.0, 0.0)
         } else {
-            let nn = self.len as f64;
-            let mean = self.s1 / nn;
-            let var = (self.s2 / nn - mean * mean).max(0.0);
+            let nn = len as f64;
+            let mean = s1 / nn;
+            let var = (s2 / nn - mean * mean).max(0.0);
             let sd = var.sqrt();
             if sd <= etsc_core::znorm::CONSTANT_EPS {
                 (0.0, 0.0)
@@ -266,17 +382,88 @@ impl CentroidZnormScoreSession<'_> {
                 (1.0 / sd, mean / sd)
             }
         };
-        let nf = n as f64;
-        let (s1_cap, s2_cap) = (self.s1_cap, self.s2_cap);
-        self.sxc
-            .iter()
-            .zip(&self.sc)
-            .zip(&self.scc)
-            .map(move |((&sxc, &sc), &scc)| {
-                let d2 = u * u * s2_cap - 2.0 * u * (v * s1_cap + sxc)
-                    + (nf * v * v + 2.0 * v * sc + scc);
-                d2.max(0.0).sqrt() / root_n
-            })
+        Self {
+            u,
+            v,
+            nf,
+            root_n,
+            s1_cap,
+            s2_cap,
+        }
+    }
+
+    /// Length-normalized distance to the class with running `Σx·c`, `Σc`
+    /// and `Σc²` (the dot identity in the type docs).
+    fn distance(&self, sxc: f64, sc: f64, scc: f64) -> f64 {
+        let Self {
+            u,
+            v,
+            nf,
+            root_n,
+            s1_cap,
+            s2_cap,
+        } = *self;
+        let d2 = u * u * s2_cap - 2.0 * u * (v * s1_cap + sxc) + (nf * v * v + 2.0 * v * sc + scc);
+        d2.max(0.0).sqrt() / root_n
+    }
+}
+
+/// A z-norm scorer's checkpoint: the fields of
+/// [`CentroidZnormScoreSession`], in save order.
+struct ZnormState<'s> {
+    s1: f64,
+    s2: f64,
+    sxc: Cow<'s, [f64]>,
+    sc: Cow<'s, [f64]>,
+    scc: Cow<'s, [f64]>,
+    s1_cap: f64,
+    s2_cap: f64,
+    len: usize,
+}
+
+impl ZnormState<'_> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u8(TAG_ZNORM);
+        enc.put_f64(self.s1);
+        enc.put_f64(self.s2);
+        enc.put_f64_slice(&self.sxc);
+        enc.put_f64_slice(&self.sc);
+        enc.put_f64_slice(&self.scc);
+        enc.put_f64(self.s1_cap);
+        enc.put_f64(self.s2_cap);
+        enc.put_usize(self.len);
+    }
+
+    /// Read a state for a `k`-class model.
+    fn decode(dec: &mut Decoder<'_>, k: usize) -> Result<ZnormState<'static>, PersistError> {
+        if dec.get_u8("centroid znorm session tag")? != TAG_ZNORM {
+            return Err(PersistError::Corrupt(
+                "centroid znorm session: wrong state tag".into(),
+            ));
+        }
+        let s1 = dec.get_f64("centroid znorm s1")?;
+        let s2 = dec.get_f64("centroid znorm s2")?;
+        let sxc = dec.get_f64_vec("centroid znorm sxc")?;
+        let sc = dec.get_f64_vec("centroid znorm sc")?;
+        let scc = dec.get_f64_vec("centroid znorm scc")?;
+        if sxc.len() != k || sc.len() != k || scc.len() != k {
+            return Err(PersistError::Corrupt(format!(
+                "centroid znorm session: class-sum lengths {}/{}/{} for {k} classes",
+                sxc.len(),
+                sc.len(),
+                scc.len()
+            )));
+        }
+        Ok(ZnormState {
+            s1,
+            s2,
+            sxc: Cow::Owned(sxc),
+            sc: Cow::Owned(sc),
+            scc: Cow::Owned(scc),
+            s1_cap: dec.get_f64("centroid znorm s1_cap")?,
+            s2_cap: dec.get_f64("centroid znorm s2_cap")?,
+            len: dec.get_usize("centroid znorm len")?,
+        })
     }
 }
 
@@ -325,46 +512,241 @@ impl ScoreSession for CentroidZnormScoreSession<'_> {
     }
 
     fn save_state(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u8(TAG_ZNORM);
-        enc.put_f64(self.s1);
-        enc.put_f64(self.s2);
-        enc.put_f64_slice(&self.sxc);
-        enc.put_f64_slice(&self.sc);
-        enc.put_f64_slice(&self.scc);
-        enc.put_f64(self.s1_cap);
-        enc.put_f64(self.s2_cap);
-        enc.put_usize(self.len);
+        ZnormState {
+            s1: self.s1,
+            s2: self.s2,
+            sxc: Cow::Borrowed(&self.sxc),
+            sc: Cow::Borrowed(&self.sc),
+            scc: Cow::Borrowed(&self.scc),
+            s1_cap: self.s1_cap,
+            s2_cap: self.s2_cap,
+            len: self.len,
+        }
+        .encode(enc);
         Ok(())
     }
 
     fn load_state(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
-        if dec.get_u8("centroid znorm session tag")? != TAG_ZNORM {
-            return Err(PersistError::Corrupt(
-                "centroid znorm session: wrong state tag".into(),
-            ));
+        let state = ZnormState::decode(dec, self.sxc.len())?;
+        self.s1 = state.s1;
+        self.s2 = state.s2;
+        self.sxc = state.sxc.into_owned();
+        self.sc = state.sc.into_owned();
+        self.scc = state.scc.into_owned();
+        self.s1_cap = state.s1_cap;
+        self.s2_cap = state.s2_cap;
+        self.len = state.len;
+        Ok(())
+    }
+}
+
+/// Running sums at the head of a z-norm lane: Σx, Σx², and both capped at
+/// the centroid length.
+const ZNORM_HEAD: usize = 4;
+
+/// [`ScoreLanes`] for [`NearestCentroid`], raw or per-prefix z-normalized.
+///
+/// Every lane's accumulators sit in one lane-major buffer: raw lanes hold
+/// [`CentroidScoreSession`]'s `Σ(x − c)²` per class, z-norm lanes
+/// [`CentroidZnormScoreSession`]'s four running sums then `Σx·c` per class.
+/// The z-norm session's `Σc` and `Σc²` depend only on how many samples a
+/// lane has consumed, so lanes read them, like `√n` and the centroid
+/// coordinates, from the model's tables.
+///
+/// A push is one loop over the lanes, with no dynamic dispatch: each lane
+/// accumulates the sample and, once old enough to score, computes its
+/// distances once; they feed the logit gap and, for the few lanes the gate
+/// cannot rule out, the softmax. Every value is the one the lane's session
+/// computes, through the same helpers.
+struct CentroidLanes<'a> {
+    model: &'a NearestCentroid,
+    znorm: bool,
+    /// `width()` accumulators per lane, lanes in open order.
+    acc: Vec<f64>,
+    lanes: Vec<Lane>,
+    /// One lane's distances, then its probabilities.
+    dist: Vec<f64>,
+}
+
+/// A lane's scorer length and whether it is frozen.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    len: usize,
+    frozen: bool,
+}
+
+impl CentroidLanes<'_> {
+    fn width(&self) -> usize {
+        self.model.centroids.len() + if self.znorm { ZNORM_HEAD } else { 0 }
+    }
+}
+
+impl ScoreLanes for CentroidLanes<'_> {
+    fn open(&mut self) {
+        let width = self.width();
+        self.acc.resize(self.acc.len() + width, 0.0);
+        self.lanes.push(Lane {
+            len: 0,
+            frozen: false,
+        });
+    }
+
+    fn retain(&mut self, keep: &[bool]) {
+        let width = self.width();
+        let mut flags = keep.iter();
+        let mut kept = 0;
+        for lane in 0..self.lanes.len() {
+            if flags.next() == Some(&false) {
+                continue;
+            }
+            if kept < lane {
+                self.lanes[kept] = self.lanes[lane];
+                self.acc
+                    .copy_within(lane * width..(lane + 1) * width, kept * width);
+            }
+            kept += 1;
         }
-        let s1 = dec.get_f64("centroid znorm s1")?;
-        let s2 = dec.get_f64("centroid znorm s2")?;
-        let sxc = dec.get_f64_vec("centroid znorm sxc")?;
-        let sc = dec.get_f64_vec("centroid znorm sc")?;
-        let scc = dec.get_f64_vec("centroid znorm scc")?;
-        let k = self.sxc.len();
-        if sxc.len() != k || sc.len() != k || scc.len() != k {
-            return Err(PersistError::Corrupt(format!(
-                "centroid znorm session: class-sum lengths {}/{}/{} for {k} classes",
-                sxc.len(),
-                sc.len(),
-                scc.len()
-            )));
+        self.lanes.truncate(kept);
+        self.acc.truncate(kept * width);
+    }
+
+    fn freeze(&mut self, lane: usize) {
+        if let Some(l) = self.lanes.get_mut(lane) {
+            l.frozen = true;
         }
-        self.s1 = s1;
-        self.s2 = s2;
-        self.sxc = sxc;
-        self.sc = sc;
-        self.scc = scc;
-        self.s1_cap = dec.get_f64("centroid znorm s1_cap")?;
-        self.s2_cap = dec.get_f64("centroid znorm s2_cap")?;
-        self.len = dec.get_usize("centroid znorm len")?;
+    }
+
+    fn push(&mut self, x: f64, min_prefix: usize, min_gap: f64, out: &mut Vec<LaneTop>) {
+        let width = self.width();
+        let Self {
+            model,
+            znorm,
+            acc,
+            lanes,
+            dist,
+        } = self;
+        let (model, znorm): (&NearestCentroid, bool) = (model, *znorm);
+        // The model's constants as locals, so that the stores below do not
+        // make the compiler reload them for every lane.
+        let (beta, k, t) = (model.beta, model.centroids.len(), &model.tables);
+        let (coords, sum, sum_sq, root, clen) =
+            (&t.coords[..], &t.sum[..], &t.sum_sq[..], &t.root[..], t.len);
+        let xx = x * x;
+        for (lane, (state, acc)) in lanes
+            .iter_mut()
+            .zip(acc.chunks_exact_mut(width))
+            .enumerate()
+        {
+            if state.frozen {
+                continue;
+            }
+            let (head, per_class) = acc.split_at_mut(if znorm { ZNORM_HEAD } else { 0 });
+            if state.len < clen {
+                let coords = &coords[state.len * k..][..k];
+                if znorm {
+                    head[2] += x;
+                    head[3] += xx;
+                    for (s, &ci) in per_class.iter_mut().zip(coords) {
+                        *s += x * ci;
+                    }
+                } else {
+                    for (s, &ci) in per_class.iter_mut().zip(coords) {
+                        let d = x - ci;
+                        *s += d * d;
+                    }
+                }
+            }
+            if znorm {
+                head[0] += x;
+                head[1] += xx;
+            }
+            state.len += 1;
+            if state.len < min_prefix {
+                continue;
+            }
+            // One distance pass feeds the gate and leaves the distances in
+            // `dist` for the softmax, should the gate not rule the lane out.
+            let norm = norm_len(root, state.len);
+            let root_n = norm.1;
+            let terms = znorm
+                .then(|| ZnormTerms::new(norm, [head[0], head[1], head[2], head[3]], state.len));
+            let m = state.len.min(clen) * k;
+            let sums = sum[m..][..k].iter().zip(&sum_sq[m..][..k]);
+            let dists =
+                dist.iter_mut()
+                    .zip(&*per_class)
+                    .zip(sums)
+                    .map(|((slot, &a), (&sc, &scc))| {
+                        *slot = match &terms {
+                            Some(terms) => terms.distance(a, sc, scc),
+                            None => raw_distance(a, root_n),
+                        };
+                        *slot
+                    });
+            if distance_logit_gap(beta, dists).is_some_and(|g| g < min_gap) {
+                continue;
+            }
+            model.softmax_distances_in_place(dist);
+            let label = argmax(dist);
+            out.push(LaneTop {
+                lane,
+                label,
+                probability: dist[label],
+            });
+        }
+    }
+
+    fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError> {
+        let width = self.width();
+        let len = self.lanes[lane].len;
+        let acc = &self.acc[lane * width..][..width];
+        if !self.znorm {
+            encode_raw(enc, acc, len);
+            return Ok(());
+        }
+        let k = self.model.centroids.len();
+        let m = len.min(self.model.tables.len) * k;
+        ZnormState {
+            s1: acc[0],
+            s2: acc[1],
+            sxc: Cow::Borrowed(&acc[ZNORM_HEAD..]),
+            sc: Cow::Borrowed(&self.model.tables.sum[m..][..k]),
+            scc: Cow::Borrowed(&self.model.tables.sum_sq[m..][..k]),
+            s1_cap: acc[2],
+            s2_cap: acc[3],
+            len,
+        }
+        .encode(enc);
+        Ok(())
+    }
+
+    fn load_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
+        let k = self.model.centroids.len();
+        let len = if self.znorm {
+            let state = ZnormState::decode(dec, k)?;
+            // Σc and Σc² are model constants at the stored length: a state
+            // that disagrees with the tables was not written by this model.
+            let m = state.len.min(self.model.tables.len) * k;
+            let same =
+                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+            if !same(&state.sc, &self.model.tables.sum[m..][..k])
+                || !same(&state.scc, &self.model.tables.sum_sq[m..][..k])
+            {
+                return Err(PersistError::Corrupt(format!(
+                    "centroid znorm lanes: Σc/Σc² do not match the model after {} samples",
+                    state.len
+                )));
+            }
+            self.acc
+                .extend_from_slice(&[state.s1, state.s2, state.s1_cap, state.s2_cap]);
+            self.acc.extend_from_slice(&state.sxc);
+            state.len
+        } else {
+            let (sq, len) = decode_raw(dec, k)?;
+            self.acc.extend_from_slice(&sq);
+            len
+        };
+        self.lanes.push(Lane { len, frozen: false });
         Ok(())
     }
 }
@@ -396,7 +778,7 @@ impl Persist for NearestCentroid {
                 "centroid: centroids must share a non-empty length".into(),
             ));
         }
-        Ok(Self { centroids, beta })
+        Ok(Self::from_parts(centroids, beta))
     }
 }
 
@@ -441,6 +823,16 @@ impl Classifier for NearestCentroid {
             s1_cap: 0.0,
             s2_cap: 0.0,
             len: 0,
+        }))
+    }
+
+    fn score_lanes(&self, znorm: bool) -> Option<Box<dyn ScoreLanes + '_>> {
+        Some(Box::new(CentroidLanes {
+            model: self,
+            znorm,
+            acc: Vec::new(),
+            lanes: Vec::new(),
+            dist: vec![0.0; self.centroids.len()],
         }))
     }
 }
@@ -586,10 +978,7 @@ mod tests {
     /// returns how many thresholds it skipped.
     fn assert_distance_gate_sound(beta: f64, dists: &[f64]) -> usize {
         use crate::gate_cases::THETAS;
-        let m = NearestCentroid {
-            centroids: vec![vec![0.0]; dists.len()],
-            beta,
-        };
+        let m = NearestCentroid::from_parts(vec![vec![0.0]; dists.len()], beta);
         let gap = m.distance_logit_gap(dists.iter().copied());
         let mut p = dists.to_vec();
         m.softmax_distances_in_place(&mut p);
@@ -628,10 +1017,7 @@ mod tests {
                     let mut dists = vec![g + 5.0; k];
                     dists[slot] = 0.0;
                     dists[(slot + 1) % k] = g;
-                    let m = NearestCentroid {
-                        centroids: vec![vec![0.0]; k],
-                        beta: 1.0,
-                    };
+                    let m = NearestCentroid::from_parts(vec![vec![0.0]; k], 1.0);
                     assert_eq!(m.distance_logit_gap(dists.iter().copied()), Some(g));
                     skipped += assert_distance_gate_sound(1.0, &dists);
                     let scaled: Vec<f64> = dists.iter().map(|d| 1.5 + d / 4.0).collect();
@@ -642,10 +1028,7 @@ mod tests {
         }
         assert!(skipped > 0 && skipped < checked * 6, "{skipped}/{checked}");
         // The underflow case θ = 1 must still see: exactly 1.0, not skipped.
-        let m = NearestCentroid {
-            centroids: vec![vec![0.0]; 2],
-            beta: 1.0,
-        };
+        let m = NearestCentroid::from_parts(vec![vec![0.0]; 2], 1.0);
         let mut p = [0.0, 800.0];
         m.softmax_distances_in_place(&mut p);
         assert_eq!(p[0], 1.0);
@@ -685,13 +1068,120 @@ mod tests {
                 }
             }
         }
-        let one = NearestCentroid {
-            centroids: vec![vec![1.0, 2.0]],
-            beta: 4.0,
-        };
+        let one = NearestCentroid::from_parts(vec![vec![1.0, 2.0]], 4.0);
         let mut s = one.score_session().unwrap();
         s.push(1.0);
         assert_eq!(s.logit_gap(), None, "a lone class has no runner-up");
+    }
+
+    #[test]
+    fn lanes_score_save_and_load_as_their_sessions() {
+        // β = 4 is `fit`'s; the others have no logit gap, so every lane
+        // past `min_prefix` reaches the softmax.
+        for beta in [4.0, -1.0, 0.0, f64::INFINITY, f64::NAN] {
+            let m = NearestCentroid::fit_with_beta(&toy(), beta);
+            for theta in [0.5, 0.8] {
+                assert_lanes_match_sessions(&m, crate::min_commit_gap(theta));
+            }
+        }
+        // Σc that disagrees with the model is not this model's state.
+        let m = NearestCentroid::fit(&toy());
+        let mut s = m.score_session_znorm().unwrap();
+        s.push(1.0);
+        let mut enc = Encoder::new();
+        s.save_state(&mut enc).unwrap();
+        let mut bytes = enc.into_bytes();
+        // tag, s1, s2, sxc (len + 2), then sc's length and first value.
+        let sc0 = 1 + 8 + 8 + 8 + 16 + 8;
+        bytes[sc0..sc0 + 8].copy_from_slice(&123.0f64.to_le_bytes());
+        let mut lanes = m.score_lanes(true).unwrap();
+        assert!(matches!(
+            lanes.load_lane(&mut Decoder::new(&bytes)),
+            Err(PersistError::Corrupt(_))
+        ));
+        assert!(
+            s.load_state(&mut Decoder::new(&bytes)).is_ok(),
+            "sessions trust it"
+        );
+    }
+
+    /// Drives `m`'s lanes and one session per lane through the same
+    /// samples at commit gate `gate`, comparing every softmax the lanes
+    /// report with the session's, then their checkpoints.
+    fn assert_lanes_match_sessions(m: &NearestCentroid, gate: f64) {
+        // Longer than the centroids, with a constant head and a NaN.
+        let probe = [2.0, 2.0, 0.3, 1.0, 4.0, 5.0, f64::NAN, 2.0, 7.0, -1.0];
+        let beta = m.beta;
+        for znorm in [false, true] {
+            let open = || {
+                if znorm {
+                    m.score_session_znorm().unwrap()
+                } else {
+                    m.score_session().unwrap()
+                }
+            };
+            let mut lanes = m.score_lanes(znorm).unwrap();
+            let mut sessions: Vec<Box<dyn ScoreSession + '_>> = Vec::new();
+            let mut out = Vec::new();
+            let mut p = [0.0; 2];
+            for (t, &x) in probe.iter().enumerate() {
+                // A lane opens every other sample; lane 1 freezes at t = 4.
+                if t % 2 == 0 {
+                    lanes.open();
+                    sessions.push(open());
+                }
+                if t == 4 {
+                    lanes.freeze(1);
+                }
+                out.clear();
+                lanes.push(x, 2, gate, &mut out);
+                let mut expected = Vec::new();
+                for (lane, s) in sessions.iter_mut().enumerate() {
+                    if lane == 1 && t >= 4 {
+                        continue;
+                    }
+                    s.push(x);
+                    if s.len() < 2 || s.logit_gap().is_some_and(|g| g < gate) {
+                        continue;
+                    }
+                    s.predict_proba_into(&mut p);
+                    let label = crate::argmax(&p);
+                    expected.push((lane, label, p[label].to_bits()));
+                }
+                let got: Vec<_> = out
+                    .iter()
+                    .map(|o| (o.lane, o.label, o.probability.to_bits()))
+                    .collect();
+                assert_eq!(got, expected, "β {beta}, znorm={znorm}, sample {t}");
+            }
+            for (lane, s) in sessions.iter().enumerate() {
+                let mut a = Encoder::new();
+                lanes.save_lane(lane, &mut a).unwrap();
+                let mut b = Encoder::new();
+                s.save_state(&mut b).unwrap();
+                let bytes = a.into_bytes();
+                assert_eq!(
+                    bytes,
+                    b.into_bytes(),
+                    "β {beta}, znorm={znorm}, lane {lane}"
+                );
+                let mut resumed = m.score_lanes(znorm).unwrap();
+                resumed.load_lane(&mut Decoder::new(&bytes)).unwrap();
+                let mut again = Encoder::new();
+                resumed.save_lane(0, &mut again).unwrap();
+                assert_eq!(
+                    again.into_bytes(),
+                    bytes,
+                    "znorm={znorm}, lane {lane} reload"
+                );
+            }
+            lanes.retain(&[true, false]);
+            let mut kept = Encoder::new();
+            lanes.save_lane(1, &mut kept).unwrap();
+            let mut third = Encoder::new();
+            sessions[2].save_state(&mut third).unwrap();
+            assert_eq!(kept.into_bytes(), third.into_bytes(), "retain keeps order");
+        }
     }
 
     #[test]

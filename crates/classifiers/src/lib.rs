@@ -38,6 +38,10 @@
 //!   whose scores decompose coordinate-wise — nearest-centroid and diagonal
 //!   Gaussians). Models without an incremental form return `None` and
 //!   callers fall back to whole-prefix rescoring.
+//! * [`Classifier::score_lanes`] holds many such sessions over one stream —
+//!   the candidate onsets of a stream monitor — as one [`ScoreLanes`]
+//!   block advanced in one loop (nearest-centroid). Models without a lane
+//!   form return `None` and callers drive one session per lane.
 
 pub mod centroid;
 pub mod eval;
@@ -118,6 +122,70 @@ pub trait Classifier: Sync {
     fn score_session_znorm(&self) -> Option<Box<dyn ScoreSession + '_>> {
         None
     }
+
+    /// Open an empty block of [`ScoreLanes`]: many scorers over the same
+    /// stream, one per candidate onset, advanced together — the raw
+    /// [`score_session`](Self::score_session) form, or the per-prefix
+    /// z-normalized [`score_session_znorm`](Self::score_session_znorm) form
+    /// when `znorm` is set.
+    ///
+    /// Each lane performs exactly the arithmetic of its session, so lanes
+    /// and sessions agree bit for bit. Models without a lane form return
+    /// `None` and callers drive one session per lane instead.
+    fn score_lanes(&self, znorm: bool) -> Option<Box<dyn ScoreLanes + '_>> {
+        let _ = znorm;
+        None
+    }
+}
+
+/// The top class of one lane's softmax, as [`ScoreLanes::push`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneTop {
+    /// Lane index, in open order.
+    pub lane: usize,
+    /// [`argmax`] of the lane's probabilities.
+    pub label: ClassLabel,
+    /// The probability of `label`.
+    pub probability: f64,
+}
+
+/// Many [`ScoreSession`]s over one stream, each opened at a different
+/// sample (a *lane*), held as one state and advanced in one loop.
+///
+/// A lane is the session it replaces: pushing a sample into a lane performs
+/// the scalar operations [`ScoreSession::push`] performs, and the softmax
+/// and [`ScoreSession::logit_gap`] it evaluates are the session's, through
+/// the same helpers. Lanes are indexed in open order;
+/// [`retain`](Self::retain) keeps that order.
+pub trait ScoreLanes: Send {
+    /// Append a lane that has consumed nothing.
+    fn open(&mut self);
+
+    /// Keep the lanes whose flag in `keep` is set, in order. Lanes without
+    /// a flag are kept.
+    fn retain(&mut self, keep: &[bool]);
+
+    /// Stop advancing `lane`: later pushes leave its state as it is, like a
+    /// committed session that no longer feeds its scorer.
+    fn freeze(&mut self, lane: usize);
+
+    /// Push `x` into every lane that is not frozen. Then, for each pushed
+    /// lane that has consumed at least `min_prefix` samples and whose logit
+    /// gap is not below `min_gap` (a lane without a gap always qualifies),
+    /// evaluate the softmax and append the lane's top class to `out`.
+    ///
+    /// With `min_gap = `[`min_commit_gap`]`(θ)` the lanes left out are
+    /// exactly those whose session would skip the softmax at threshold θ.
+    fn push(&mut self, x: f64, min_prefix: usize, min_gap: f64, out: &mut Vec<LaneTop>);
+
+    /// Append `lane`'s state to `enc` in the bytes
+    /// [`ScoreSession::save_state`] writes for the same state.
+    fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError>;
+
+    /// Append a lane rehydrated from [`ScoreSession::save_state`] bytes, with
+    /// the validation [`ScoreSession::load_state`] applies. On error no lane
+    /// is appended.
+    fn load_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError>;
 }
 
 /// An incremental per-sample scorer over one growing series.

@@ -41,15 +41,18 @@
 //! [`EarlyClassifier::decide`] recomputes the whole prefix on every call.
 //!
 //! [`EarlyClassifier::decide`] remains as the offline convenience (UCR-style
-//! evaluation queries arbitrary prefixes), and [`MultiSession`] drives many
-//! concurrent sessions — many anchors of one monitor, or many independent
-//! streams — over a single fitted model.
+//! evaluation queries arbitrary prefixes). The many sessions a stream
+//! monitor opens on one stream — one per candidate anchor — run as the
+//! lanes of one [`DecisionLanes`] block, one state advanced in one loop,
+//! where the model provides it ([`EarlyClassifier::lanes`], see [`lanes`]),
+//! and as boxed sessions in a generic [`SessionLanes`] fleet otherwise.
 
 pub mod checkpoints;
 pub mod costaware;
 pub mod ecdire;
 pub mod ects;
 pub mod edsc;
+pub mod lanes;
 pub mod metrics;
 pub mod relclass;
 pub mod stopping_rule;
@@ -57,10 +60,11 @@ pub mod teaser;
 pub mod template;
 pub mod threshold;
 
-use etsc_core::parallel;
 use etsc_core::znorm::znormalize_in_place;
 use etsc_core::ClassLabel;
 pub use etsc_persist::{Decoder, Encoder, PersistError};
+
+pub use lanes::{DecisionLanes, LaneStatus, SessionLanes};
 
 /// Envelope kind tag for standalone session checkpoints (see
 /// [`checkpoint_session`] / [`resume_session`]).
@@ -193,13 +197,6 @@ pub fn resume_session<'a, C: EarlyClassifier + ?Sized>(
     dec.finish()?;
     Ok(session)
 }
-
-/// Minimum number of concurrent sessions before a one-sample fan-out
-/// ([`MultiSession::push_all`]) is worth worker threads. The spawn round
-/// paid on *every* push costs ~10µs per worker, while a typical incremental
-/// push costs tens to hundreds of nanoseconds (and O(1) bookkeeping once
-/// latched), so the fleet must be in the hundreds before fan-out wins.
-pub(crate) const PAR_MIN_SESSIONS: usize = 512;
 
 /// The two largest values of a probability vector `(best, second)`, both
 /// 0.0-floored — the margin primitive RelClass, ECDIRE, and the stopping
@@ -364,8 +361,9 @@ pub enum SessionNorm {
 /// open a new session (or [`reset`](Self::reset) this one).
 ///
 /// `Send` is a supertrait so boxed sessions can be serviced by worker
-/// threads ([`MultiSession::push_all`] and the stream monitor fan one
-/// sample out to many sessions in parallel; see `etsc_core::parallel`).
+/// threads ([`SessionLanes`] fans one sample out to hundreds of sessions
+/// in parallel, and a serving runtime services streams on workers; see
+/// `etsc_core::parallel`).
 /// Sessions hold owned running state plus a shared reference to their
 /// `Sync` model, so every implementor satisfies it automatically.
 pub trait DecisionSession: Send {
@@ -484,6 +482,20 @@ pub trait EarlyClassifier: Sync {
             "this EarlyClassifier type (no resume_session override)",
         ))
     }
+
+    /// Open an empty lane block under `norm`, if this model has one: the
+    /// live sessions of one stream, one lane each, advanced together (see
+    /// [`DecisionLanes`]).
+    ///
+    /// The default, `None`, leaves callers on the generic path: a
+    /// [`SessionLanes`] fleet of [`session`](Self::session)s, resumed
+    /// through [`resume_session`](Self::resume_session). Models that can
+    /// hold all lanes as one state override it; their lanes must decide,
+    /// count and checkpoint exactly as those sessions do.
+    fn lanes(&self, norm: SessionNorm) -> Option<Box<dyn DecisionLanes + '_>> {
+        let _ = norm;
+        None
+    }
 }
 
 /// The universal fallback session: buffers the pushed samples and replays
@@ -560,130 +572,6 @@ impl<C: EarlyClassifier + ?Sized> DecisionSession for ReplaySession<'_, C> {
         self.scratch.clear();
         self.len = 0;
         self.decision = Decision::Wait;
-    }
-}
-
-/// A batch driver servicing many concurrent [`DecisionSession`]s — the
-/// anchors of one stream monitor, or many independent streams — over one
-/// fitted classifier, with session reuse so steady-state operation does not
-/// allocate.
-///
-/// Streams are identified by caller-chosen `u64` keys (an anchor offset, a
-/// tenant id, …). [`open`](Self::open) starts a stream,
-/// [`push`](Self::push) feeds one sample to one stream,
-/// [`push_all`](Self::push_all) feeds the same sample to every stream (the
-/// monitor's fan-out), and [`close`](Self::close) retires a stream,
-/// recycling its session into an internal pool.
-pub struct MultiSession<'a> {
-    clf: &'a dyn EarlyClassifier,
-    norm: SessionNorm,
-    /// Open streams, kept in `open` order — [`push_all`](Self::push_all)
-    /// visits them oldest-first, which is what priority-by-age consumers
-    /// want.
-    slots: Vec<(u64, Box<dyn DecisionSession + 'a>)>,
-    /// Retired sessions awaiting reuse.
-    pool: Vec<Box<dyn DecisionSession + 'a>>,
-}
-
-impl<'a> MultiSession<'a> {
-    /// A driver over `clf` whose sessions apply `norm`.
-    pub fn new(clf: &'a dyn EarlyClassifier, norm: SessionNorm) -> Self {
-        Self {
-            clf,
-            norm,
-            slots: Vec::new(),
-            pool: Vec::new(),
-        }
-    }
-
-    /// Open a stream under `key`. Returns `false` (and does nothing) if the
-    /// key is already open.
-    pub fn open(&mut self, key: u64) -> bool {
-        if self.slots.iter().any(|(k, _)| *k == key) {
-            return false;
-        }
-        let session = match self.pool.pop() {
-            Some(mut s) => {
-                s.reset();
-                s
-            }
-            None => self.clf.session(self.norm),
-        };
-        self.slots.push((key, session));
-        true
-    }
-
-    /// Close the stream under `key`, recycling its session. Returns `false`
-    /// if no such stream is open.
-    pub fn close(&mut self, key: u64) -> bool {
-        match self.slots.iter().position(|(k, _)| *k == key) {
-            Some(i) => {
-                let (_, session) = self.slots.remove(i);
-                self.pool.push(session);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Feed one sample to the stream under `key`; `None` if it is not open.
-    pub fn push(&mut self, key: u64, x: f64) -> Option<Decision> {
-        self.slots
-            .iter_mut()
-            .find(|(k, _)| *k == key)
-            .map(|(_, s)| s.push(x))
-    }
-
-    /// Feed the same sample to every open stream, in `open` order. For each
-    /// stream the sink receives `(key, decision, committed_now)`, where
-    /// `committed_now` is true exactly on the push that turned the stream's
-    /// decision into a `Predict` (sessions latch afterwards).
-    ///
-    /// With enough open streams the pushes fan out across worker threads
-    /// (`etsc_core::parallel`, gated so small fleets stay on the cheap
-    /// serial path); the sink still runs on the calling thread in `open`
-    /// order, so observable behavior is identical.
-    pub fn push_all(&mut self, x: f64, mut sink: impl FnMut(u64, Decision, bool)) {
-        let threads = parallel::gate(self.slots.len(), PAR_MIN_SESSIONS);
-        if threads <= 1 {
-            for (key, session) in self.slots.iter_mut() {
-                let was_committed = session.decision().is_predict();
-                let decision = session.push(x);
-                sink(*key, decision, decision.is_predict() && !was_committed);
-            }
-            return;
-        }
-        let outcomes = parallel::map_mut_with(threads, &mut self.slots, |(key, session)| {
-            let was_committed = session.decision().is_predict();
-            let decision = session.push(x);
-            (*key, decision, decision.is_predict() && !was_committed)
-        });
-        for (key, decision, committed_now) in outcomes {
-            sink(key, decision, committed_now);
-        }
-    }
-
-    /// Current decision and consumed length of the stream under `key`.
-    pub fn status(&self, key: u64) -> Option<(Decision, usize)> {
-        self.slots
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, s)| (s.decision(), s.len()))
-    }
-
-    /// Number of open streams.
-    pub fn active(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no stream is open.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Keys of open streams, in `open` order.
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots.iter().map(|(k, _)| *k)
     }
 }
 
@@ -852,40 +740,5 @@ mod tests {
         let clf = SessionOnly;
         assert_eq!(clf.decide(&[0.0]), Decision::Wait);
         assert!(clf.decide(&[0.0, 0.0]).is_predict());
-    }
-
-    #[test]
-    fn multi_session_opens_pushes_and_recycles() {
-        let clf = FixedCommit { commit_at: 2 };
-        let mut multi = MultiSession::new(&clf, SessionNorm::Raw);
-        assert!(multi.is_empty());
-        assert!(multi.open(10));
-        assert!(!multi.open(10), "duplicate keys are rejected");
-        assert!(multi.open(20));
-        assert_eq!(multi.active(), 2);
-        assert_eq!(multi.keys().collect::<Vec<_>>(), vec![10, 20]);
-
-        // Stagger the streams: key 10 gets a head start.
-        assert_eq!(multi.push(10, 0.5), Some(Decision::Wait));
-        let mut events = Vec::new();
-        multi.push_all(0.5, |k, d, now| events.push((k, d.is_predict(), now)));
-        // Key 10 commits now (2 samples); key 20 has only 1.
-        assert_eq!(events, vec![(10, true, true), (20, false, false)]);
-
-        events.clear();
-        multi.push_all(0.5, |k, d, now| events.push((k, d.is_predict(), now)));
-        // Key 10 is latched (not newly committed); key 20 commits now.
-        assert_eq!(events, vec![(10, true, false), (20, true, true)]);
-
-        assert_eq!(
-            multi.status(10).map(|(d, l)| (d.is_predict(), l)),
-            Some((true, 3))
-        );
-        assert!(multi.close(10));
-        assert!(!multi.close(10));
-        // The recycled session starts fresh for a new key.
-        assert!(multi.open(30));
-        assert_eq!(multi.status(30), Some((Decision::Wait, 0)));
-        assert_eq!(multi.push(99, 0.0), None, "unknown key");
     }
 }

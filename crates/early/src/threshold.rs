@@ -25,14 +25,23 @@
 //! rule out a commit the exact path runs, so decisions and confidences are
 //! bit-identical to the ungated loop, and since the probability scratch
 //! buffer is not part of the checkpoint, neither are checkpoint bytes.
+//!
+//! ## Lanes
+//!
+//! When the wrapped classifier offers [`Classifier::score_lanes`], a
+//! stream's anchor sessions run as one lane block
+//! ([`EarlyClassifier::lanes`]): one scorer state for every lane, one pass
+//! per push that applies the gate above to each lane and evaluates the
+//! softmax only where the gate cannot rule out a commit. Each lane latches,
+//! counts and checkpoints exactly as its session does.
 
-use etsc_classifiers::{argmax, min_commit_gap, Classifier, ScoreSession};
+use etsc_classifiers::{argmax, min_commit_gap, Classifier, LaneTop, ScoreLanes, ScoreSession};
 use etsc_core::ClassLabel;
 use etsc_persist::{Decoder, Encoder, Persist, PersistError};
 
 use crate::{
     expect_norm, expect_session_tag, get_decision, put_decision, put_norm, session_tags, Decision,
-    DecisionSession, EarlyClassifier, SessionNorm,
+    DecisionLanes, DecisionSession, EarlyClassifier, LaneStatus, SessionNorm,
 };
 
 /// State-schema tag for the buffering [`RescoreSession`] fallback.
@@ -108,41 +117,14 @@ impl<C: Classifier> EarlyClassifier for ProbThreshold<C> {
         }
         let p = self.inner.predict_proba(prefix);
         let label = argmax(&p);
-        if p[label] >= self.threshold {
-            Decision::Predict {
-                label,
-                confidence: p[label],
-            }
-        } else {
-            Decision::Wait
-        }
+        self.commit(label, p[label]).unwrap_or(Decision::Wait)
     }
 
     fn session(&self, norm: SessionNorm) -> Box<dyn DecisionSession + '_> {
-        // Prefer the wrapped classifier's incremental scorer for the
-        // requested normalization: `score_session` reproduces the batch
-        // probabilities exactly; `score_session_znorm` folds each
-        // prefix-wide mean/std change into closed-form running-sum updates
-        // (documented fp tolerance). Classifiers with no incremental form
-        // for the requested norm (kNN, WEASEL) get the buffering
-        // [`RescoreSession`], which rescores the (optionally renormalized)
-        // prefix per push — O(prefix) scoring, but the threshold gate and
-        // latching logic stay session-native.
-        let scorer = match norm {
-            SessionNorm::Raw => self.inner.score_session(),
-            SessionNorm::PerPrefix => self.inner.score_session_znorm(),
-        }
-        .unwrap_or_else(|| {
-            Box::new(RescoreSession {
-                inner: &self.inner,
-                norm,
-                buf: Vec::new(),
-            })
-        });
         Box::new(ProbThresholdSession {
             model: self,
             norm,
-            scorer,
+            scorer: self.scorer(norm),
             proba: vec![0.0; self.inner.n_classes()],
             len: 0,
             decision: Decision::Wait,
@@ -158,30 +140,12 @@ impl<C: Classifier> EarlyClassifier for ProbThreshold<C> {
         norm: SessionNorm,
         dec: &mut Decoder<'_>,
     ) -> Result<Box<dyn DecisionSession + '_>, PersistError> {
-        expect_session_tag(dec, session_tags::PROB_THRESHOLD)?;
-        expect_norm(dec, norm)?;
         // Reopen the scorer exactly as `session` would (incremental when the
         // wrapped model offers one, the buffering fallback otherwise) and
         // rehydrate it through the `ScoreSession` state API — so even a
         // wrapped classifier with no incremental form checkpoints cleanly.
-        let mut scorer = match norm {
-            SessionNorm::Raw => self.inner.score_session(),
-            SessionNorm::PerPrefix => self.inner.score_session_znorm(),
-        }
-        .unwrap_or_else(|| {
-            Box::new(RescoreSession {
-                inner: &self.inner,
-                norm,
-                buf: Vec::new(),
-            })
-        });
-        {
-            let mut sub = dec.section("prob-threshold scorer")?;
-            scorer.load_state(&mut sub)?;
-            sub.finish()?;
-        }
-        let len = dec.get_usize("prob-threshold len")?;
-        let decision = get_decision(dec, self.inner.n_classes())?;
+        let mut scorer = self.scorer(norm);
+        let (len, decision) = self.decode_state(norm, dec, |sub| scorer.load_state(sub))?;
         Ok(Box::new(ProbThresholdSession {
             model: self,
             norm,
@@ -191,6 +155,90 @@ impl<C: Classifier> EarlyClassifier for ProbThreshold<C> {
             decision,
         }))
     }
+
+    fn lanes(&self, norm: SessionNorm) -> Option<Box<dyn DecisionLanes + '_>> {
+        let scores = self.inner.score_lanes(norm == SessionNorm::PerPrefix)?;
+        Some(Box::new(ProbThresholdLanes {
+            model: self,
+            norm,
+            scores,
+            status: Vec::new(),
+            peak: 0,
+            tops: Vec::new(),
+        }))
+    }
+}
+
+impl<C: Classifier> ProbThreshold<C> {
+    /// The commit rule, shared by [`decide`](EarlyClassifier::decide), the
+    /// sessions and the lanes: the top class `label` at probability `p`
+    /// commits once `p` reaches the threshold.
+    fn commit(&self, label: ClassLabel, p: f64) -> Option<Decision> {
+        (p >= self.threshold).then_some(Decision::Predict {
+            label,
+            confidence: p,
+        })
+    }
+
+    /// The scorer a session under `norm` drives: the wrapped classifier's
+    /// incremental scorer for the requested normalization when it has one —
+    /// `score_session` reproduces the batch probabilities exactly,
+    /// `score_session_znorm` folds each prefix-wide mean/std change into
+    /// closed-form running-sum updates (documented fp tolerance) — and for
+    /// classifiers with no incremental form (kNN, WEASEL) the buffering
+    /// [`RescoreSession`], which rescores the (optionally renormalized)
+    /// prefix per push: O(prefix) scoring, but the threshold gate and
+    /// latching logic stay session-native.
+    fn scorer(&self, norm: SessionNorm) -> Box<dyn ScoreSession + '_> {
+        match norm {
+            SessionNorm::Raw => self.inner.score_session(),
+            SessionNorm::PerPrefix => self.inner.score_session_znorm(),
+        }
+        .unwrap_or_else(|| {
+            Box::new(RescoreSession {
+                inner: &self.inner,
+                norm,
+                buf: Vec::new(),
+            })
+        })
+    }
+
+    /// Read a session checkpoint written by [`encode_state`]: the scorer
+    /// section goes to `load_scorer`; returns the session's length and
+    /// decision.
+    fn decode_state(
+        &self,
+        norm: SessionNorm,
+        dec: &mut Decoder<'_>,
+        load_scorer: impl FnOnce(&mut Decoder<'_>) -> Result<(), PersistError>,
+    ) -> Result<(usize, Decision), PersistError> {
+        expect_session_tag(dec, session_tags::PROB_THRESHOLD)?;
+        expect_norm(dec, norm)?;
+        let mut sub = dec.section("prob-threshold scorer")?;
+        load_scorer(&mut sub)?;
+        sub.finish()?;
+        let len = dec.get_usize("prob-threshold len")?;
+        let decision = get_decision(dec, self.inner.n_classes())?;
+        Ok((len, decision))
+    }
+}
+
+/// Write a probability-threshold session checkpoint; the scorer section
+/// comes from `save_scorer`. Sessions and lanes share it, byte for byte.
+fn encode_state(
+    enc: &mut Encoder,
+    norm: SessionNorm,
+    save_scorer: impl FnOnce(&mut Encoder) -> Result<(), PersistError>,
+    status: LaneStatus,
+) -> Result<(), PersistError> {
+    enc.put_u8(session_tags::PROB_THRESHOLD);
+    // The scorer variant is keyed off the norm at open time, so the norm is
+    // part of the schema.
+    put_norm(enc, norm);
+    enc.try_section(save_scorer)?;
+    enc.put_usize(status.len);
+    put_decision(enc, status.decision);
+    Ok(())
 }
 
 impl<C: Classifier + Persist> Persist for ProbThreshold<C> {
@@ -315,11 +363,8 @@ impl<C: Classifier> DecisionSession for ProbThresholdSession<'_, C> {
         }
         self.scorer.predict_proba_into(&mut self.proba);
         let label = argmax(&self.proba);
-        if self.proba[label] >= self.model.threshold {
-            self.decision = Decision::Predict {
-                label,
-                confidence: self.proba[label],
-            };
+        if let Some(commit) = self.model.commit(label, self.proba[label]) {
+            self.decision = commit;
         }
         self.decision
     }
@@ -339,14 +384,86 @@ impl<C: Classifier> DecisionSession for ProbThresholdSession<'_, C> {
     }
 
     fn save_state(&self, enc: &mut Encoder) -> Result<(), PersistError> {
-        enc.put_u8(session_tags::PROB_THRESHOLD);
-        // The scorer variant is keyed off the norm at open time, so the
-        // norm is part of the schema.
-        put_norm(enc, self.norm);
-        enc.try_section(|e| self.scorer.save_state(e))?;
-        enc.put_usize(self.len);
-        put_decision(enc, self.decision);
+        let status = LaneStatus {
+            decision: self.decision,
+            len: self.len,
+        };
+        encode_state(enc, self.norm, |e| self.scorer.save_state(e), status)
+    }
+}
+
+/// The lanes of [`ProbThreshold`] over a classifier's [`ScoreLanes`]: each
+/// lane is a [`ProbThresholdSession`], with the scorers held in one block
+/// and the threshold test applied to the few lanes the block reports.
+struct ProbThresholdLanes<'a, C> {
+    model: &'a ProbThreshold<C>,
+    norm: SessionNorm,
+    /// One scorer lane per lane; a committed lane's scorer is frozen, as a
+    /// latched session stops feeding its scorer.
+    scores: Box<dyn ScoreLanes + 'a>,
+    status: Vec<LaneStatus>,
+    /// Most lanes ever live: lanes beyond the live ones are pooled storage.
+    peak: usize,
+    /// Lanes the last push scored through the softmax.
+    tops: Vec<LaneTop>,
+}
+
+impl<C: Classifier> DecisionLanes for ProbThresholdLanes<'_, C> {
+    fn open(&mut self) {
+        self.scores.open();
+        self.status.push(LaneStatus::FRESH);
+        self.peak = self.peak.max(self.status.len());
+    }
+
+    fn push(&mut self, x: f64) {
+        for status in &mut self.status {
+            status.len += 1;
+        }
+        self.tops.clear();
+        self.scores.push(
+            x,
+            self.model.min_prefix,
+            self.model.commit_gap,
+            &mut self.tops,
+        );
+        for top in &self.tops {
+            if let Some(commit) = self.model.commit(top.label, top.probability) {
+                self.status[top.lane].decision = commit;
+                self.scores.freeze(top.lane);
+            }
+        }
+    }
+
+    fn status(&self) -> &[LaneStatus] {
+        &self.status
+    }
+
+    fn retain(&mut self, keep: &[bool]) {
+        self.scores.retain(keep);
+        let mut flags = keep.iter();
+        self.status.retain(|_| flags.next() != Some(&false));
+    }
+
+    fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError> {
+        let save = |e: &mut Encoder| self.scores.save_lane(lane, e);
+        encode_state(enc, self.norm, save, self.status[lane])
+    }
+
+    fn resume_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
+        let scores = &mut self.scores;
+        let (len, decision) = self
+            .model
+            .decode_state(self.norm, dec, |sub| scores.load_lane(sub))?;
+        if decision.is_predict() {
+            self.scores.freeze(self.status.len());
+        }
+        self.status.push(LaneStatus { decision, len });
+        self.peak = self.peak.max(self.status.len());
         Ok(())
+    }
+
+    fn pooled(&self) -> usize {
+        self.peak - self.status.len()
     }
 }
 

@@ -4,17 +4,20 @@
 //! exemplar at a time. A deployment does not know when (or whether) a
 //! pattern starts. The monitor therefore keeps a set of candidate **anchors**
 //! — recent positions at which a pattern might have begun — and feeds each
-//! arriving sample to every anchor's incremental
-//! [`DecisionSession`](etsc_early::DecisionSession). When a session commits,
-//! an alarm fires (and a refractory period suppresses the alarm storm that
-//! would otherwise follow from neighboring anchors).
+//! arriving sample to every anchor's incremental session. When a session
+//! commits, an alarm fires (and a refractory period suppresses the alarm
+//! storm that would otherwise follow from neighboring anchors).
 //!
-//! Each anchor costs one `push` per sample — amortized O(1) in the anchor's
-//! age for the incremental session implementations — where the previous
-//! design re-sliced every anchor's whole prefix and called the stateless
-//! `decide` on it, doing O(prefix) work per anchor per sample (O(L²) over an
-//! anchor's lifetime). Sessions are pooled and reused across anchors, so
-//! steady-state monitoring does not allocate.
+//! The monitor keeps only the anchor offsets, the firing and refractory
+//! rules, and retirement; it does not pool sessions itself. Each anchor is
+//! a lane: of the model's own [`DecisionLanes`] block, one state advanced
+//! in one loop, where the model provides it ([`EarlyClassifier::lanes`];
+//! `ProbThreshold<NearestCentroid>`), and otherwise of a [`SessionLanes`]
+//! fleet, one boxed [`DecisionSession`](etsc_early::DecisionSession) per
+//! anchor, which pools retired sessions so steady-state monitoring does not
+//! allocate. Either way each anchor costs one session push per sample —
+//! amortized O(1) in the anchor's age — and alarms, confidences and
+//! snapshot bytes are those of the per-anchor sessions.
 //!
 //! Alarm semantics: at most one alarm fires per sample — the oldest
 //! committed anchor, provided the monitor is outside its refractory period.
@@ -22,7 +25,7 @@
 //! samples; any commit still pending when the refractory period begins is
 //! suppressed for good (the anchor retires silently — refractory
 //! *suppresses* alarms, it does not defer them). Fired and expired anchors
-//! are retired immediately; their sessions return to the pool.
+//! are retired immediately; their lanes' storage is reused.
 //!
 //! This design surfaces all three of the paper's streaming failure modes:
 //! prefixes of longer innocuous patterns trigger anchors mid-word (the
@@ -31,19 +34,11 @@
 //! (homophones).
 
 use etsc_core::ClassLabel;
-use etsc_early::{DecisionSession, EarlyClassifier, SessionNorm};
-use etsc_persist::{Encoder, PersistError};
+use etsc_early::{Decision, DecisionLanes, EarlyClassifier, LaneStatus, SessionLanes, SessionNorm};
+use etsc_persist::{Decoder, Encoder, PersistError};
 
 /// Envelope kind tag for [`StreamMonitor::snapshot_anchors`] state.
 pub const MONITOR_STATE_KIND: &str = "StreamMonitorAnchors";
-
-/// Minimum live-anchor count before the per-sample fan-out is worth worker
-/// threads. The spawn round paid on *every* sample costs ~10µs per worker,
-/// while a session push costs tens of nanoseconds (the perfbench ledger's
-/// `early.push_ns` for `ProbThreshold<NearestCentroid>`; O(1) bookkeeping
-/// once a session latches), so only dense anchor populations — hundreds of
-/// anchors, from small strides over long patterns — clear it.
-const PAR_MIN_ANCHORS: usize = 512;
 
 /// Normalization applied to each anchored prefix before classification.
 ///
@@ -136,12 +131,16 @@ impl Alarm {
 pub struct StreamMonitor<'a, C: EarlyClassifier + ?Sized> {
     clf: &'a C,
     cfg: StreamMonitorConfig,
-    /// Live anchors and their sessions, ascending by anchor offset.
-    anchors: Vec<(usize, Box<dyn DecisionSession + 'a>)>,
-    /// Retired sessions awaiting reuse (reset on reissue).
-    pool: Vec<Box<dyn DecisionSession + 'a>>,
+    /// Live anchor offsets, ascending; anchor `i` is lane `i` of `lanes`.
+    anchors: Vec<usize>,
+    lanes: Lanes<'a, C>,
     /// Absolute index of the next incoming sample.
     now: usize,
+    /// The first stride boundary at or after `now`: where the next anchor
+    /// opens. A counter rather than `now % stride`, which costs a 64-bit
+    /// division on every sample and slowed the lane loop's own divisions
+    /// measurably.
+    next_anchor: usize,
     /// No alarms before this time (refractory gate).
     quiet_until: usize,
 }
@@ -154,98 +153,90 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
             clf,
             cfg,
             anchors: Vec::new(),
-            pool: Vec::new(),
+            lanes: Lanes::new(clf, cfg.norm.into()),
             now: 0,
+            next_anchor: 0,
             quiet_until: 0,
         }
     }
 
     /// Feed one sample; returns an alarm if a session committed.
     pub fn push(&mut self, x: f64) -> Option<Alarm> {
-        let max_len = self.clf.series_len();
-        // Spawn a new anchor on stride boundaries, reusing pooled sessions.
-        if self.now.is_multiple_of(self.cfg.anchor_stride) {
-            let session = match self.pool.pop() {
-                Some(mut s) => {
-                    s.reset();
-                    s
-                }
-                None => self.clf.session(self.cfg.norm.into()),
-            };
-            self.anchors.push((self.now, session));
+        // Spawn a new anchor on stride boundaries.
+        if self.now == self.next_anchor {
+            self.anchors.push(self.now);
+            self.lanes.open();
+            self.next_anchor = self.now.saturating_add(self.cfg.anchor_stride);
         }
         let t = self.now;
         self.now += 1;
         let quiet = t < self.quiet_until;
 
-        // One push per live session (committed sessions are latched: their
-        // pushes are O(1) bookkeeping while they wait to fire or be
-        // suppressed below). With a dense anchor population the pushes fan
-        // out across worker threads (`etsc_core::parallel`, honoring
-        // `ETSC_THREADS`); sessions are independent, so decisions are
-        // identical to the serial sweep, and the gate keeps small
-        // populations on the cheap serial path.
-        let threads = etsc_core::parallel::gate(self.anchors.len(), PAR_MIN_ANCHORS);
-        etsc_core::parallel::for_each_mut_with(threads, &mut self.anchors, |(_, session)| {
-            session.push(x);
-        });
-
+        // One push per live lane (committed lanes are latched: their pushes
+        // only count the sample while they wait to fire or be suppressed
+        // below).
+        //
         // At most one alarm per sample: the oldest committed anchor fires,
         // if the monitor is outside its refractory period. Further anchors
         // committed at the same instant stay live and drain on subsequent
         // samples — unless the refractory period swallows them first.
         //
-        // The label is read through `label_confidence()` rather than
-        // asserted: a committed session can stop carrying a prediction
-        // between ticks (e.g. [`close_anchor`](Self::close_anchor) recycles
-        // and resets sessions, and third-party `DecisionSession`
-        // implementations may un-latch on reset-like transitions). Such an
-        // anchor simply does not fire — it retires through the normal
-        // age-out path instead of panicking the whole monitor.
-        let mut fired: Option<Alarm> = None;
-        if !quiet {
-            fired = self.anchors.iter().find_map(|(anchor, session)| {
-                session
-                    .decision()
-                    .label_confidence()
-                    .map(|(label, confidence)| Alarm {
-                        time: t,
-                        anchor: *anchor,
-                        label,
-                        confidence,
-                    })
-            });
-        }
-
         // Retire anchors that can produce no further alarms: the one that
         // just fired, committed anchors inside the refractory period
         // (suppressed for good — refractory suppresses, it does not defer),
         // and uncommitted anchors that have consumed a full pattern length.
-        let fired_anchor = fired.map(|a| a.anchor);
-        let pool = &mut self.pool;
-        self.anchors.retain_mut(|(anchor, session)| {
-            let committed = session.decision().is_predict();
-            let retire = if committed {
-                quiet || Some(*anchor) == fired_anchor
-            } else {
-                session.len() >= max_len
+        //
+        // `visit` applies both rules to each lane, oldest first, and
+        // compacts the anchor offsets in step. An offset is read only when
+        // its anchor fires or a lane before it retired.
+        let max_len = self.clf.series_len();
+        let anchors = &mut self.anchors;
+        let mut fired: Option<Alarm> = None;
+        let (mut lane, mut kept) = (0, 0);
+        let visit = |status: &LaneStatus| {
+            let i = lane;
+            lane += 1;
+            let retire = match status.decision {
+                Decision::Predict { label, confidence } if !quiet && fired.is_none() => {
+                    fired = Some(Alarm {
+                        time: t,
+                        anchor: anchors[i],
+                        label,
+                        confidence,
+                    });
+                    true
+                }
+                Decision::Predict { .. } => quiet,
+                Decision::Wait => status.len >= max_len,
             };
-            if retire {
-                pool.push(std::mem::replace(
-                    session,
-                    Box::new(NeverSession) as Box<dyn DecisionSession + 'a>,
-                ));
-                false
-            } else {
-                true
+            if !retire {
+                if kept < i {
+                    anchors[kept] = anchors[i];
+                }
+                kept += 1;
             }
-        });
-
-        if let Some(alarm) = fired {
-            self.quiet_until = t + 1 + self.cfg.refractory;
-            return Some(alarm);
+            !retire
+        };
+        match &mut self.lanes {
+            Lanes::Block(b) => {
+                let Block { lanes, keep } = &mut **b;
+                lanes.push(x);
+                keep.clear();
+                keep.extend(lanes.status().iter().map(visit));
+                if kept < keep.len() {
+                    lanes.retain(keep);
+                }
+            }
+            Lanes::Sessions(sessions) => {
+                sessions.push(x);
+                sessions.retain(visit);
+            }
         }
-        None
+        self.anchors.truncate(kept);
+
+        let alarm = fired?;
+        self.quiet_until = t + 1 + self.cfg.refractory;
+        Some(alarm)
     }
 
     /// Run the monitor over an entire slice, collecting all alarms.
@@ -254,25 +245,35 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
     }
 
     /// Retire the anchor at offset `anchor` immediately, recycling its
-    /// session into the pool. Returns `false` if no such anchor is live.
+    /// lane. Returns `false` if no such anchor is live.
     ///
     /// This is the supervisor hook for invalidating a hypothesis mid-flight
     /// — e.g. an upstream segmenter decided the pattern cannot have started
     /// there. Closing is safe in the same tick as a commit: an anchor that
     /// latched `Predict` on the current sample and is closed before the
-    /// next [`push`](Self::push) simply never alarms (its reset session
-    /// carries no prediction, and the alarm scan reads predictions through
-    /// a graceful option path, not an assertion).
+    /// next [`push`](Self::push) simply never alarms.
     pub fn close_anchor(&mut self, anchor: usize) -> bool {
-        match self.anchors.iter().position(|(a, _)| *a == anchor) {
-            Some(i) => {
-                let (_, mut session) = self.anchors.remove(i);
-                session.reset();
-                self.pool.push(session);
-                true
+        let Some(i) = self.anchors.iter().position(|&a| a == anchor) else {
+            return false;
+        };
+        match &mut self.lanes {
+            Lanes::Block(b) => {
+                let Block { lanes, keep } = &mut **b;
+                keep.clear();
+                keep.resize(self.anchors.len(), true);
+                keep[i] = false;
+                lanes.retain(keep);
             }
-            None => false,
+            Lanes::Sessions(sessions) => {
+                let mut lane = 0;
+                sessions.retain(|_| {
+                    lane += 1;
+                    lane != i + 1
+                });
+            }
         }
+        self.anchors.remove(i);
+        true
     }
 
     /// Serialize every in-flight anchor — offset, incremental session
@@ -288,7 +289,10 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
     /// clock (`quiet_until`) travels with them — a snapshot taken
     /// mid-refractory stays mid-refractory.
     ///
-    /// The session pool does not travel (it holds no observable state);
+    /// Each anchor's state is its session's checkpoint, whether a lane
+    /// block or a session fleet holds it, so the bytes do not depend on
+    /// which. Retired lanes' storage does not travel (it holds no
+    /// observable state);
     /// errors if any live session's type does not support checkpointing.
     pub fn snapshot_anchors(&self) -> Result<Vec<u8>, PersistError> {
         let mut enc = Encoder::new();
@@ -301,9 +305,9 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         enc.put_usize(self.now);
         enc.put_usize(self.quiet_until);
         enc.put_usize(self.anchors.len());
-        for (anchor, session) in &self.anchors {
+        for (lane, anchor) in self.anchors.iter().enumerate() {
             enc.put_usize(*anchor);
-            enc.try_section(|e| session.save_state(e))?;
+            enc.try_section(|e| self.lanes.save_lane(lane, e))?;
         }
         Ok(etsc_persist::envelope(
             MONITOR_STATE_KIND,
@@ -313,14 +317,16 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
 
     /// Rehydrate anchors from [`snapshot_anchors`](Self::snapshot_anchors)
     /// bytes, replacing this monitor's live anchors, clock, and refractory
-    /// gate entirely (current anchors are reset into the session pool).
+    /// gate entirely. On error the monitor is left unchanged.
     ///
     /// The monitor must be configured identically to the one that produced
     /// the snapshot (stride, normalization, refractory) and wrap the same
     /// fitted classifier — or a snapshot-restored copy of it, which is
     /// behavior-identical. Configuration mismatches are rejected as
     /// [`PersistError::Corrupt`] rather than silently changing alarm
-    /// semantics.
+    /// semantics, and so are anchors this configuration could not have
+    /// opened: offsets off the stride grid, not strictly ascending, or not
+    /// below the snapshot's clock.
     pub fn resume_anchors(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         let mut dec = etsc_persist::open_envelope(bytes, MONITOR_STATE_KIND)?;
         let stride = dec.get_usize("monitor stride")?;
@@ -352,28 +358,30 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         // via the serving layers, network) boundaries, so a hostile count
         // must be a typed error, not a huge allocation.
         dec.check_claim(n, 16, "monitor anchors")?;
-        let mut anchors: Vec<(usize, Box<dyn DecisionSession + 'a>)> = Vec::with_capacity(n);
+        let mut anchors: Vec<usize> = Vec::with_capacity(n);
+        // Fresh lanes, adopted only once every lane has resumed.
+        let mut lanes = Lanes::new(self.clf, self.cfg.norm.into());
         for _ in 0..n {
             let offset = dec.get_usize("monitor anchor offset")?;
-            if offset >= now && now > 0 || anchors.last().is_some_and(|(a, _)| *a >= offset) {
+            if offset >= now
+                || !offset.is_multiple_of(stride)
+                || anchors.last().is_some_and(|&a| a >= offset)
+            {
                 return Err(PersistError::Corrupt(format!(
-                    "monitor: anchor offset {offset} breaks ascending order below now = {now}"
+                    "monitor: anchor offset {offset} is not a stride-{stride} \
+                     boundary ascending below now = {now}"
                 )));
             }
             let mut sub = dec.section("monitor anchor session")?;
-            let session = self.clf.resume_session(self.cfg.norm.into(), &mut sub)?;
+            lanes.resume_lane(&mut sub)?;
             sub.finish()?;
-            anchors.push((offset, session));
+            anchors.push(offset);
         }
         dec.finish()?;
-        // Recycle the monitor's current sessions before adopting the
-        // snapshot's — nothing leaks, and steady-state reuse still holds.
-        for (_, mut session) in self.anchors.drain(..) {
-            session.reset();
-            self.pool.push(session);
-        }
         self.anchors = anchors;
+        self.lanes = lanes;
         self.now = now;
+        self.next_anchor = now.checked_next_multiple_of(stride).unwrap_or(usize::MAX);
         self.quiet_until = quiet_until;
         Ok(())
     }
@@ -393,33 +401,78 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         self.anchors.len()
     }
 
-    /// Number of pooled (idle, reusable) sessions (for instrumentation).
+    /// Number of retired lanes whose storage waits for reuse — pooled
+    /// sessions on the generic path (for instrumentation).
     pub fn pooled_sessions(&self) -> usize {
-        self.pool.len()
+        self.lanes.pooled()
     }
 }
 
-/// Placeholder swapped into retiring slots while their session moves to the
-/// pool; never pushed.
-struct NeverSession;
+/// A monitor's lanes: the model's own [`DecisionLanes`] block when it has
+/// one ([`EarlyClassifier::lanes`]), else a [`SessionLanes`] fleet held by
+/// value, so that the retirement pass over it is inlined. Behind a boxed
+/// block with a dynamically dispatched predicate per lane, the generic path
+/// measured ~20% slower per sample than the per-anchor loop it replaced
+/// (4096 `TemplateMatcher` streams, one or two anchors each, 2-vCPU Xeon).
+/// The block's state is boxed as well: at that stream count every byte of
+/// the monitor counts (padding the per-anchor monitor by 48 bytes cost ~6%
+/// of `records_per_s` on perfbench's `many-streams-checkpoint`).
+enum Lanes<'a, C: EarlyClassifier + ?Sized> {
+    Block(Box<Block<'a>>),
+    Sessions(SessionLanes<'a, C>),
+}
 
-impl DecisionSession for NeverSession {
-    fn push(&mut self, _x: f64) -> etsc_early::Decision {
-        unreachable!("placeholder session is never driven")
+/// A model's lane block and its retirement flags, one per lane, reused
+/// every sample.
+struct Block<'a> {
+    lanes: Box<dyn DecisionLanes + 'a>,
+    keep: Vec<bool>,
+}
+
+impl<'a, C: EarlyClassifier + ?Sized> Lanes<'a, C> {
+    fn new(clf: &'a C, norm: SessionNorm) -> Self {
+        match clf.lanes(norm) {
+            Some(lanes) => Self::Block(Box::new(Block {
+                lanes,
+                keep: Vec::new(),
+            })),
+            None => Self::Sessions(SessionLanes::new(clf, norm)),
+        }
     }
-    fn decision(&self) -> etsc_early::Decision {
-        etsc_early::Decision::Wait
+
+    fn open(&mut self) {
+        match self {
+            Self::Block(b) => b.lanes.open(),
+            Self::Sessions(sessions) => sessions.open(),
+        }
     }
-    fn len(&self) -> usize {
-        0
+
+    fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError> {
+        match self {
+            Self::Block(b) => b.lanes.save_lane(lane, enc),
+            Self::Sessions(sessions) => sessions.save_lane(lane, enc),
+        }
     }
-    fn reset(&mut self) {}
+
+    fn resume_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
+        match self {
+            Self::Block(b) => b.lanes.resume_lane(dec),
+            Self::Sessions(sessions) => sessions.resume_lane(dec),
+        }
+    }
+
+    fn pooled(&self) -> usize {
+        match self {
+            Self::Block(b) => b.lanes.pooled(),
+            Self::Sessions(sessions) => sessions.pooled(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_early::Decision;
+    use etsc_early::DecisionSession;
 
     /// Commits to class 0 whenever the last `need` points average above 0.5.
     struct LevelDetector {
@@ -853,6 +906,68 @@ mod tests {
         let mut same = StreamMonitor::new(&clf, cfg);
         same.resume_anchors(&bytes).unwrap();
         assert_eq!(same.live_anchors(), mon.live_anchors());
+    }
+
+    /// Snapshot bytes for `PersistableDetector` under `cfg` (raw norm):
+    /// the monitor clock `now` and uncommitted anchors at `anchors`.
+    fn hand_snapshot(cfg: StreamMonitorConfig, now: usize, anchors: &[usize]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_usize(cfg.anchor_stride);
+        enc.put_u8(0);
+        enc.put_usize(cfg.refractory);
+        enc.put_usize(now);
+        enc.put_usize(0);
+        enc.put_usize(anchors.len());
+        for &a in anchors {
+            enc.put_usize(a);
+            enc.section(|e| {
+                e.put_f64(0.0);
+                e.put_usize(now.saturating_sub(a));
+                e.put_bool(false);
+            });
+        }
+        etsc_persist::envelope(MONITOR_STATE_KIND, &enc.into_bytes())
+    }
+
+    #[test]
+    fn resume_rejects_anchors_the_monitor_could_not_have_opened() {
+        let clf = PersistableDetector { need: 4, len: 24 };
+        let cfg = StreamMonitorConfig {
+            anchor_stride: 16,
+            norm: StreamNorm::Raw,
+            refractory: 0,
+        };
+        let corrupt = |bytes: &[u8]| {
+            let mut mon = StreamMonitor::new(&clf, cfg);
+            matches!(mon.resume_anchors(bytes), Err(PersistError::Corrupt(_)))
+        };
+        // An anchor at the clock has not been opened yet: resuming it would
+        // open a second anchor at the same offset on the next push.
+        assert!(corrupt(&hand_snapshot(cfg, 0, &[0])));
+        assert!(corrupt(&hand_snapshot(cfg, 32, &[32])));
+        // Anchors open on stride boundaries only.
+        assert!(corrupt(&hand_snapshot(cfg, 20, &[3])));
+        assert!(corrupt(&hand_snapshot(cfg, 40, &[16, 17])));
+        assert!(corrupt(&hand_snapshot(cfg, 40, &[32, 16])), "ascending");
+
+        // What a monitor could have written resumes.
+        let mut mon = StreamMonitor::new(&clf, cfg);
+        mon.resume_anchors(&hand_snapshot(cfg, 40, &[16, 32]))
+            .unwrap();
+        assert_eq!(mon.live_anchors(), 2);
+        // An empty snapshot at the origin resumes, and behaves as new.
+        let mut mon = StreamMonitor::new(&clf, cfg);
+        mon.resume_anchors(&hand_snapshot(cfg, 0, &[])).unwrap();
+        mon.push(0.0);
+        assert_eq!(mon.live_anchors(), 1);
+        // A rejected snapshot leaves the monitor as it was.
+        assert!(mon.resume_anchors(&hand_snapshot(cfg, 20, &[3])).is_err());
+        assert_eq!(mon.live_anchors(), 1);
+        assert_eq!(mon.snapshot_anchors().unwrap(), {
+            let mut twin = StreamMonitor::new(&clf, cfg);
+            twin.push(0.0);
+            twin.snapshot_anchors().unwrap()
+        });
     }
 
     #[test]

@@ -71,8 +71,12 @@
 //! O(1) in the prefix length, and (under [`early::SessionNorm::Raw`])
 //! decisions reproduce `decide` exactly. No built-in algorithm falls back
 //! to whole-prefix replay under either norm. [`stream::StreamMonitor`]
-//! drives one session per candidate anchor, and [`early::MultiSession`]
-//! services many concurrent streams over one fitted model.
+//! drives one session per candidate anchor: as the lanes of one
+//! [`early::DecisionLanes`] block per stream, one state advanced in one
+//! loop, where the model offers it ([`early::EarlyClassifier::lanes`];
+//! `ProbThreshold<NearestCentroid>`), and as boxed sessions in a generic
+//! [`early::SessionLanes`] fleet otherwise, with the same decisions and
+//! checkpoint bytes either way.
 //!
 //! ```
 //! use etsc::datasets::gunpoint::{self, GunPointConfig};

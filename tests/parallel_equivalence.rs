@@ -4,8 +4,8 @@
 //! a pure performance knob: chunks are contiguous, per-item work is
 //! identical to the serial loop, and results are stitched in input order.
 //! These tests drive each parallelized call site — the subsequence-search
-//! engine, the ECTS fit, the TEASER fit, batch evaluation, the multi-stream
-//! driver, and the stream monitor — at 1, 2, and 7 workers (serial, even
+//! engine, the ECTS fit, the TEASER fit, batch evaluation, the generic lane
+//! block, and the stream monitor — at 1, 2, and 7 workers (serial, even
 //! split, ragged split) via the scoped `with_threads` override and assert
 //! identical outputs. Fixtures are sized past each site's work gate so the
 //! parallel path genuinely executes at t > 1.
@@ -19,7 +19,10 @@ use etsc::datasets::gunpoint::{self, GunPointConfig};
 use etsc::datasets::random_walk::smoothed_random_walk;
 use etsc::early::ects::{Ects, EctsConfig};
 use etsc::early::teaser::{Teaser, TeaserConfig};
-use etsc::early::{Decision, DecisionSession, EarlyClassifier, MultiSession, SessionNorm};
+use etsc::early::{
+    Decision, DecisionLanes, DecisionSession, EarlyClassifier, LaneStatus, SessionLanes,
+    SessionNorm,
+};
 use etsc::stream::{StreamMonitor, StreamMonitorConfig, StreamNorm};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
@@ -112,30 +115,77 @@ fn batch_evaluation_is_thread_count_invariant() {
     }
 }
 
+/// Lanes driven alike whether a model's block or a session fleet holds
+/// them: push a sample, then read every lane's status.
+trait Drive {
+    fn open(&mut self);
+    fn push(&mut self, x: f64) -> Vec<LaneStatus>;
+}
+
+impl Drive for dyn DecisionLanes + '_ {
+    fn open(&mut self) {
+        DecisionLanes::open(self);
+    }
+    fn push(&mut self, x: f64) -> Vec<LaneStatus> {
+        DecisionLanes::push(self, x);
+        self.status().to_vec()
+    }
+}
+
+impl<C: EarlyClassifier + ?Sized> Drive for SessionLanes<'_, C> {
+    fn open(&mut self) {
+        SessionLanes::open(self);
+    }
+    fn push(&mut self, x: f64) -> Vec<LaneStatus> {
+        SessionLanes::push(self, x);
+        let mut statuses = Vec::new();
+        self.retain(|s| {
+            statuses.push(*s);
+            true
+        });
+        statuses
+    }
+}
+
+/// Every lane's first commit as `(lane, sample)`, then the final statuses.
+type Staggered = (Vec<(usize, usize)>, Vec<LaneStatus>);
+
+/// Drive `lanes` over `stream`: returns every lane's first commit as
+/// `(lane, sample)`, then the final statuses.
+fn drive_lanes(lanes: &mut (impl Drive + ?Sized), stream: &[f64]) -> Staggered {
+    let mut committed = Vec::new();
+    let mut events = Vec::new();
+    let mut statuses = Vec::new();
+    for (i, &x) in stream.iter().enumerate() {
+        statuses = lanes.push(x);
+        committed.resize(statuses.len(), false);
+        for (lane, s) in statuses.iter().enumerate() {
+            if s.decision.is_predict() && !committed[lane] {
+                committed[lane] = true;
+                events.push((lane, i));
+            }
+        }
+    }
+    (events, statuses)
+}
+
 #[test]
-fn multi_session_push_all_is_thread_count_invariant() {
+fn session_lanes_push_is_thread_count_invariant() {
     let train = train_set();
     let ects = Ects::fit(&train, &EctsConfig::default());
     let stream = smoothed_random_walk(200, 5, 11);
-    // 600 concurrent streams: past the 512-session fan-out gate.
-    let run = |threads: usize| -> Vec<(u64, bool, usize)> {
+    // 600 lanes: past the 512-session fan-out gate.
+    let run = |threads: usize| {
         with_threads(threads, || {
-            let mut multi = MultiSession::new(&ects, SessionNorm::PerPrefix);
-            for key in 0..600u64 {
-                multi.open(key);
+            let mut lanes = SessionLanes::new(&ects, SessionNorm::PerPrefix);
+            for _ in 0..600 {
+                lanes.open();
             }
-            let mut events = Vec::new();
-            for (i, &x) in stream.iter().enumerate() {
-                multi.push_all(x, |key, _decision, committed_now| {
-                    if committed_now {
-                        events.push((key, true, i));
-                    }
-                });
-            }
-            events
+            drive_lanes(&mut lanes, &stream)
         })
     };
     let serial = run(1);
+    assert!(!serial.0.is_empty(), "fixture should commit");
     for t in THREAD_COUNTS {
         assert_eq!(run(t), serial, "{t} threads");
     }
@@ -144,10 +194,11 @@ fn multi_session_push_all_is_thread_count_invariant() {
 /// The four algorithm/norm combinations that previously fell back to the
 /// whole-prefix `ReplaySession` — EDSC under per-prefix z-normalization,
 /// RelClass with a full covariance (raw), and RelClass / ProbThreshold
-/// under per-prefix z-normalization — each driven as a 600-stream
-/// `MultiSession` fleet (past the 512-session fan-out gate) at 1, 2, and 7
+/// under per-prefix z-normalization — each driven as a 600-lane
+/// `SessionLanes` block (past the 512-session fan-out gate) at 1, 2, and 7
 /// workers. Their incremental sessions hold only per-stream state, so
-/// worker count must be a pure performance knob.
+/// worker count must be a pure performance knob. The model's own lane
+/// block (`EarlyClassifier::lanes`, serial) must agree with them.
 #[test]
 fn converted_session_combinations_are_thread_count_invariant() {
     use etsc::classifiers::centroid::NearestCentroid;
@@ -205,33 +256,34 @@ fn converted_session_combinations_are_thread_count_invariant() {
     ];
 
     let stream = smoothed_random_walk(150, 5, 13);
+    // Stagger the lanes so blocks sit at many prefix lengths: a push after
+    // every seventh open.
+    fn stagger(lanes: &mut (impl Drive + ?Sized), stream: &[f64]) -> Staggered {
+        for lane in 0..600 {
+            lanes.open();
+            if lane % 7 == 6 {
+                lanes.push(stream[lane % stream.len()]);
+            }
+        }
+        drive_lanes(lanes, stream)
+    }
+    let mut blocks = 0;
     for (name, clf, norm) in combos {
-        let run = |threads: usize| -> Vec<(u64, usize, bool)> {
+        let run = |threads: usize| {
             with_threads(threads, || {
-                let mut multi = MultiSession::new(clf, norm);
-                // Stagger the streams so fleets sit at many prefix lengths.
-                for key in 0..600u64 {
-                    multi.open(key);
-                    for (i, &x) in stream.iter().take(key as usize % 7).enumerate() {
-                        let _ = (i, multi.push(key, x));
-                    }
-                }
-                let mut events = Vec::new();
-                for (i, &x) in stream.iter().enumerate() {
-                    multi.push_all(x, |key, _decision, committed_now| {
-                        if committed_now {
-                            events.push((key, i, true));
-                        }
-                    });
-                }
-                events
+                stagger(&mut SessionLanes::new(clf, norm), &stream)
             })
         };
         let serial = run(1);
         for t in THREAD_COUNTS {
             assert_eq!(run(t), serial, "{name} at {t} threads");
         }
+        if let Some(mut block) = clf.lanes(norm) {
+            assert_eq!(stagger(block.as_mut(), &stream), serial, "{name} lanes");
+            blocks += 1;
+        }
     }
+    assert_eq!(blocks, 1, "prob-threshold over a centroid has a lane block");
 }
 
 /// Long-pattern detector with a cheap O(1) incremental session: commits at
