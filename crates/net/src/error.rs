@@ -102,10 +102,11 @@ pub enum WireError {
         /// The unknown stream id.
         stream: u64,
     },
-    /// A migrate-in would overwrite a stream already live on the remote
-    /// node; the node refused the whole batch atomically.
+    /// A migration batch names a stream twice, or a migrate-in would
+    /// overwrite a stream already live on the remote node; the node refused
+    /// the whole batch atomically.
     DuplicateStream {
-        /// The stream id that already exists remotely.
+        /// The stream id listed twice or already live remotely.
         stream: u64,
     },
     /// The remote node rejected the request as misconfigured (e.g. a
@@ -174,7 +175,8 @@ impl fmt::Display for WireError {
             }
             WireError::DuplicateStream { stream } => write!(
                 f,
-                "stream {stream} is already live on the remote node; migration refused"
+                "stream {stream} is listed twice in the batch or already live on the remote \
+                 node; migration refused"
             ),
             WireError::RemoteBadConfig(msg) => write!(f, "remote configuration error: {msg}"),
             WireError::RemotePersist(msg) => write!(f, "remote persistence error: {msg}"),

@@ -43,11 +43,12 @@ pub enum ServeError {
         /// The stream id that has no monitor.
         stream: u64,
     },
-    /// An import ([`Runtime::import_streams`](crate::Runtime::import_streams))
-    /// would overwrite a stream that is already live in this runtime. The
-    /// import is refused atomically — no stream of the batch was added.
+    /// A migration batch names a stream twice, or an import
+    /// ([`Runtime::import_streams`](crate::Runtime::import_streams)) would
+    /// overwrite a stream that is already live in this runtime. The batch is
+    /// refused atomically — no stream of it was added or removed.
     DuplicateStream {
-        /// The stream id that already exists.
+        /// The stream id listed twice or already live.
         stream: u64,
     },
     /// A snapshot/restore or registry operation failed.
@@ -76,8 +77,8 @@ impl fmt::Display for ServeError {
             }
             ServeError::DuplicateStream { stream } => write!(
                 f,
-                "stream {stream} is already live in this runtime; import refused with no \
-                 streams added"
+                "stream {stream} is listed twice in the batch or already live in this runtime; \
+                 migration refused with no streams moved"
             ),
             ServeError::Persist(e) => write!(f, "persistence error: {e}"),
         }

@@ -28,7 +28,8 @@
 //!
 //! * **Routing** — [`ShardRouter`] hashes stream ids
 //!   ([`etsc_core::hash`]) onto N shards; each shard owns its streams'
-//!   monitors and a bounded record queue.
+//!   monitors, in a dense slab whose slot a record resolves once at
+//!   ingest, and a bounded record queue.
 //! * **Batched ingestion** — [`Runtime::ingest`] routes record batches into
 //!   the queues with an explicit [`OverflowPolicy`] (apply backpressure by
 //!   draining in place, or reject the batch atomically with a typed error —
@@ -111,6 +112,7 @@ pub mod error;
 pub mod router;
 pub mod runtime;
 pub mod service;
+mod shard;
 pub mod stats;
 
 pub use dedup::DedupCursor;

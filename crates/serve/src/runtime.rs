@@ -15,6 +15,21 @@
 //! [`RuntimeConfig::threads`] override), in queue order, and the produced
 //! alarms are returned sorted by the global ingest sequence number.
 //!
+//! A shard keeps its monitors in a dense slab (`Vec`), one slot per
+//! stream. [`ingest`](Runtime::ingest) resolves a record's stream id to its
+//! slot once, through a lookup-only `HashMap` index, and the queued record
+//! carries the slot, so the drain indexes the slab directly: per record the
+//! runtime does one hash lookup and writes the live-depth gauges once per
+//! batch. Slots move only while every queue is empty — a stream leaves the
+//! slab by `swap_remove` in [`close_stream`](Runtime::close_stream),
+//! [`export_streams`](Runtime::export_streams) and
+//! [`rebalance`](Runtime::rebalance), each of which drains the queues
+//! first. Nothing iterates the index: every walk whose result escapes
+//! (checkpoint bytes, a rebalance's first error,
+//! [`stream_ids`](Runtime::stream_ids)) visits shards in order and ids
+//! ascending within each, so slot and hash order never reach bytes, alarms
+//! or callers.
+//!
 //! Batching is what amortizes the fan-out: a scoped spawn costs ~10µs per
 //! worker, so the intended shape is "ingest a few thousand records, drain
 //! once", not "drain after every sample". Correctness never depends on the
@@ -61,7 +76,8 @@ use etsc_stream::{Alarm, StreamMonitor, StreamMonitorConfig, StreamNorm};
 
 use crate::error::ServeError;
 use crate::router::ShardRouter;
-use crate::stats::{ServeStats, ShardStats};
+use crate::shard::Shard;
+use crate::stats::ServeStats;
 
 /// Envelope kind tag for [`Runtime::checkpoint`] state.
 pub const SERVE_STATE_KIND: &str = "ServeRuntimeState";
@@ -156,120 +172,6 @@ pub struct StreamAlarm {
     /// The monitor alarm (per-stream time/anchor/label/confidence).
     pub alarm: Alarm,
 }
-
-/// A routed-but-unprocessed record in a shard queue.
-struct Queued {
-    seq: u64,
-    stream: u64,
-    value: f64,
-}
-
-/// One shard: the monitors it owns (deterministically ordered by stream
-/// id) and its bounded record queue.
-struct Shard<'a, C: EarlyClassifier + ?Sized> {
-    monitors: BTreeMap<u64, StreamMonitor<'a, C>>,
-    queue: Vec<Queued>,
-    pushes: u64,
-    alarms: u64,
-    queue_high_water: usize,
-    /// Trace state: (trace id, enqueue span id) of the most recent traced
-    /// ingest that routed into this shard, consumed by the next queue
-    /// processing, which parents its `ShardDrain`/`AlarmEmit` spans to the
-    /// enqueue span. One slot per shard — when several traced batches land
-    /// between drains the latest wins, a deliberate coarsening that keeps
-    /// the hot ingest path at one word-sized store per record (the
-    /// tracing-overhead A/B in bench_serve holds the whole path under
-    /// 5%). Only populated while a tracer is installed and enabled.
-    trace: Option<(u64, u64)>,
-}
-
-impl<'a, C: EarlyClassifier + ?Sized> Shard<'a, C> {
-    fn new() -> Self {
-        Self {
-            monitors: BTreeMap::new(),
-            queue: Vec::new(),
-            pushes: 0,
-            alarms: 0,
-            queue_high_water: 0,
-            trace: None,
-        }
-    }
-
-    /// Process every queued record in ingest order. Runs on one worker
-    /// thread during a drain; shards are independent, so servicing them
-    /// concurrently cannot change any stream's sample order. `clock` and
-    /// `push_ns` come from the owning runtime: push latency is sampled
-    /// every [`PUSH_SAMPLE_EVERY`]-th push per shard (the sampling
-    /// decision depends only on the shard's push counter, never on the
-    /// clock, so instrumentation cannot perturb what any monitor sees).
-    fn process_queue(
-        &mut self,
-        clock: &Clock,
-        push_ns: &Histogram,
-        tracer: Option<&Tracer>,
-    ) -> Vec<StreamAlarm> {
-        let timing = !clock.is_disabled();
-        // Trace state exists only if a traced ingest routed into this
-        // shard; with none, the drain does zero tracing work (not even a
-        // clock read).
-        let tracer = tracer.filter(|t| t.enabled() && self.trace.is_some());
-        let trace_start = tracer.map_or(0, |t| t.start());
-        let drained = self.queue.len() as u64;
-        let mut out = Vec::new();
-        for q in self.queue.drain(..) {
-            // Ingest creates the monitor when it routes the record, and
-            // `close_stream` drains queues before removing one, so a queued
-            // record always finds its monitor; a third-party bug upstream
-            // degrades to skipping the orphan record rather than panicking
-            // a worker (which would poison the whole drain).
-            let Some(monitor) = self.monitors.get_mut(&q.stream) else {
-                debug_assert!(false, "queued record for unknown stream {}", q.stream);
-                continue;
-            };
-            self.pushes += 1;
-            let sampled = timing && self.pushes.is_multiple_of(PUSH_SAMPLE_EVERY);
-            let started = if sampled { clock.now_ns() } else { 0 };
-            let alarm = monitor.push(q.value);
-            if sampled {
-                push_ns.record(clock.now_ns().saturating_sub(started));
-            }
-            if let Some(alarm) = alarm {
-                self.alarms += 1;
-                out.push(StreamAlarm {
-                    stream: q.stream,
-                    seq: q.seq,
-                    alarm,
-                });
-            }
-        }
-        if let (Some(tracer), Some((trace_id, enq_span))) = (tracer, self.trace.take()) {
-            // One ShardDrain span for the whole pass, parented to the
-            // enqueue span of the shard's latest traced ingest; each alarm
-            // the drain produced becomes an instant AlarmEmit span under
-            // the drain span — which is how one trace id connects
-            // client → shard → alarm.
-            let drain_span = tracer.span(
-                SpanKind::ShardDrain,
-                trace_id,
-                enq_span,
-                trace_start,
-                drained,
-            );
-            for a in &out {
-                let at = tracer.start();
-                tracer.span_at(SpanKind::AlarmEmit, trace_id, drain_span, at, at, a.seq);
-            }
-        }
-        out
-    }
-}
-
-/// Per-push latency is sampled once every this many pushes per shard: two
-/// clock reads cost ~40-60 ns against a ~500 ns push, so sampling 1-in-8
-/// keeps the measured instrumentation overhead around 1% (bench_serve
-/// asserts < 5%) while a busy shard still collects thousands of samples
-/// per second.
-const PUSH_SAMPLE_EVERY: u64 = 8;
 
 /// The runtime's latency/size histograms. Lock-free (`&self` recording),
 /// shared by reference with the shard workers during a parallel drain.
@@ -449,19 +351,19 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
 
     /// Streams currently live across all shards.
     pub fn stream_count(&self) -> usize {
-        self.shards.iter().map(|s| s.monitors.len()).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// Records routed but not yet processed, across all shard queues.
     pub fn queued(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.shards.iter().map(Shard::queued).sum()
     }
 
     /// True if a monitor exists for `stream`.
     pub fn contains_stream(&self, stream: u64) -> bool {
         self.shards
             .get(self.router.route(stream))
-            .is_some_and(|s| s.monitors.contains_key(&stream))
+            .is_some_and(|s| s.contains(stream))
     }
 
     /// Worker count for the next drain.
@@ -481,13 +383,8 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         let Some(shard) = self.shards.get_mut(self.router.route(stream)) else {
             return false;
         };
-        match shard.monitors.entry(stream) {
-            std::collections::btree_map::Entry::Occupied(_) => false,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(StreamMonitor::new(self.clf, self.cfg.monitor));
-                true
-            }
-        }
+        !shard.contains(stream)
+            && shard.insert(stream, StreamMonitor::new(self.clf, self.cfg.monitor))
     }
 
     /// Retire `stream` and discard its in-flight anchors; returns `false`
@@ -498,7 +395,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         self.flush_all();
         self.shards
             .get_mut(self.router.route(stream))
-            .is_some_and(|s| s.monitors.remove(&stream).is_some())
+            .is_some_and(|s| s.remove(stream).is_some())
     }
 
     /// Route a batch of records into the shard queues.
@@ -626,7 +523,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                     clippy::indexing_slicing,
                     reason = "route() < shards.len() by construction — router and shard vec change together"
                 )]
-                let queued_here = self.shards[s].queue.len();
+                let queued_here = self.shards[s].queued();
                 if queued_here + pending > self.cfg.queue_capacity {
                     self.rejected_batches += 1;
                     if let Some(t) = self.tracer.as_ref() {
@@ -654,6 +551,9 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         };
         let clf = self.clf;
         let monitor_cfg = self.cfg.monitor;
+        // The live-depth gauges are written once per batch and before each
+        // Block-policy flush: the depth only rises between flushes, so the
+        // high-water mark still catches every peak.
         let mut depth = self.queued() as u64;
         for r in batch {
             let s = self.router.route(r.stream);
@@ -661,8 +561,9 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                 clippy::indexing_slicing,
                 reason = "route() < shards.len() by construction — router and shard vec change together"
             )]
-            if self.shards[s].queue.len() >= self.cfg.queue_capacity {
+            if self.shards[s].queued() >= self.cfg.queue_capacity {
                 // Block policy: backpressure by doing the work now.
+                self.metrics.queue_depth_high_water.record_max(depth);
                 self.flush_all();
                 depth = 0;
             }
@@ -670,23 +571,15 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                 clippy::indexing_slicing,
                 reason = "route() < shards.len() by construction; a borrow-precise direct index keeps `self.seq` readable below"
             )]
-            let shard = &mut self.shards[s];
-            shard
-                .monitors
-                .entry(r.stream)
-                .or_insert_with(|| StreamMonitor::new(clf, monitor_cfg));
-            shard.queue.push(Queued {
-                seq: self.seq,
-                stream: r.stream,
-                value: r.value,
+            self.shards[s].enqueue(self.seq, r.stream, r.value, || {
+                StreamMonitor::new(clf, monitor_cfg)
             });
-            shard.queue_high_water = shard.queue_high_water.max(shard.queue.len());
             depth += 1;
-            self.metrics.queue_depth.set(depth);
-            self.metrics.queue_depth_high_water.record_max(depth);
             self.seq += 1;
             self.ingested += 1;
         }
+        self.metrics.queue_depth.set(depth);
+        self.metrics.queue_depth_high_water.record_max(depth);
         if let Some((tracer, ctx, started)) = trace {
             self.last_ctx = Some(ctx);
             // One ShardEnqueue span per shard the batch touched, all under
@@ -780,11 +673,12 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         let trace_start = tracer.as_ref().map_or(0, |t| t.start());
         let new_router = ShardRouter::new(new_shards);
         // Phase 1 (fallible, read-only): rehydrate a fresh monitor from
-        // snapshot bytes for every stream whose shard index changes. Streams
+        // snapshot bytes for every stream whose shard index changes, in
+        // shard then id order so the first error is deterministic. Streams
         // keeping their index move by value below — no byte round-trip.
         let mut migrated: BTreeMap<u64, StreamMonitor<'a, C>> = BTreeMap::new();
         for (idx, shard) in self.shards.iter().enumerate() {
-            for (&id, monitor) in &shard.monitors {
+            for (id, monitor) in shard.sorted() {
                 if new_router.route(id) != idx {
                     let bytes = monitor.snapshot_anchors()?;
                     let mut fresh = StreamMonitor::new(self.clf, self.cfg.monitor);
@@ -802,14 +696,14 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         for shard in old {
             self.retired_pushes += shard.pushes;
             self.retired_alarms += shard.alarms;
-            for (id, monitor) in shard.monitors {
+            for (id, monitor) in shard.into_monitors() {
                 let target = new_router.route(id);
                 let moved = migrated.remove(&id).unwrap_or(monitor);
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "target < new_shards == shards.len() by construction; silently dropping a monitor would be worse than the impossible panic"
                 )]
-                self.shards[target].monitors.insert(id, moved);
+                self.shards[target].insert(id, moved);
             }
         }
         self.router = new_router;
@@ -850,12 +744,12 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// buffered for the next [`drain`](Self::drain).
     ///
     /// The export is **two-phase**: all requested streams are snapshotted
-    /// before any is removed, so an error (an unknown stream id, a
-    /// third-party session without checkpoint support) leaves the runtime
-    /// exactly as it was. On success the exported streams are retired here —
-    /// their monitors are gone and subsequent records for those ids would
-    /// auto-open fresh monitors, so callers move the bytes to their new
-    /// owner before resuming ingestion.
+    /// before any is removed, so an error (an unknown stream id, a stream
+    /// listed twice, a third-party session without checkpoint support)
+    /// leaves the runtime exactly as it was. On success the exported streams
+    /// are retired here — their monitors are gone and subsequent records for
+    /// those ids would auto-open fresh monitors, so callers move the bytes to
+    /// their new owner before resuming ingestion.
     pub fn export_streams(&mut self, streams: &[u64]) -> Result<Vec<(u64, Vec<u8>)>, ServeError> {
         self.flush_all();
         let timing = !self.clock.is_disabled();
@@ -864,18 +758,22 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         let trace_start = tracer.as_ref().map_or(0, |t| t.start());
         // Phase 1 (fallible, read-only): snapshot every requested stream.
         let mut out = Vec::with_capacity(streams.len());
+        let mut listed = BTreeSet::new();
         for &id in streams {
+            if !listed.insert(id) {
+                return Err(ServeError::DuplicateStream { stream: id });
+            }
             let monitor = self
                 .shards
                 .get(self.router.route(id))
-                .and_then(|s| s.monitors.get(&id))
+                .and_then(|s| s.get(id))
                 .ok_or(ServeError::UnknownStream { stream: id })?;
             out.push((id, monitor.snapshot_anchors()?));
         }
         // Phase 2 (infallible): retire the exported monitors.
         for &id in streams {
             if let Some(shard) = self.shards.get_mut(self.router.route(id)) {
-                shard.monitors.remove(&id);
+                shard.remove(id);
             }
         }
         self.migrated_streams += streams.len() as u64;
@@ -923,7 +821,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                 || self
                     .shards
                     .get(self.router.route(*id))
-                    .is_some_and(|s| s.monitors.contains_key(id))
+                    .is_some_and(|s| s.contains(*id))
             {
                 return Err(ServeError::DuplicateStream { stream: *id });
             }
@@ -938,9 +836,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                 clippy::indexing_slicing,
                 reason = "route() < shards.len() by construction; silently dropping an imported monitor would be worse than the impossible panic"
             )]
-            self.shards[self.router.route(id)]
-                .monitors
-                .insert(id, monitor);
+            self.shards[self.router.route(id)].insert(id, monitor);
         }
         self.migrated_streams += n;
         if let Some(t) = self.tracer.as_ref().filter(|t| t.enabled()) {
@@ -956,11 +852,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
 
     /// The stream ids currently live in this runtime, ascending.
     pub fn stream_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.monitors.keys().copied())
-            .collect();
+        let mut ids: Vec<u64> = self.shards.iter().flat_map(Shard::ids).collect();
         ids.sort_unstable();
         ids
     }
@@ -968,18 +860,11 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// A metrics snapshot: per-shard counters for the current topology plus
     /// runtime-lifetime totals.
     pub fn stats(&self) -> ServeStats {
-        let shards: Vec<ShardStats> = self
+        let shards: Vec<_> = self
             .shards
             .iter()
             .enumerate()
-            .map(|(i, s)| ShardStats {
-                shard: i,
-                streams: s.monitors.len(),
-                queued: s.queue.len(),
-                queue_high_water: s.queue_high_water,
-                pushes: s.pushes,
-                alarms: s.alarms,
-            })
+            .map(|(i, s)| s.stats(i))
             .collect();
         ServeStats {
             streams: shards.iter().map(|s| s.streams).sum(),
@@ -1069,7 +954,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         }
         enc.put_usize(self.stream_count());
         for shard in &self.shards {
-            for (&id, monitor) in &shard.monitors {
+            for (id, monitor) in shard.sorted() {
                 enc.put_u64(id);
                 enc.put_str(&self.cfg.model_name);
                 enc.put_bytes(&monitor.snapshot_anchors()?);
@@ -1196,6 +1081,10 @@ impl<'a, C: EarlyClassifier + Persist> Runtime<'a, C> {
     }
 
     /// [`recover`](Self::recover) against an already-open registry.
+    ///
+    /// A checkpoint that lists a stream twice is corrupt: recovery fails
+    /// with [`PersistError::Corrupt`] naming the id instead of letting the
+    /// later entry replace the earlier one.
     pub fn recover_from(
         clf: &'a C,
         registry: &ModelRegistry,
@@ -1297,7 +1186,13 @@ impl<'a, C: EarlyClassifier + Persist> Runtime<'a, C> {
                 clippy::indexing_slicing,
                 reason = "route() < shards.len() by construction; silently dropping a recovered stream would be worse than the impossible panic"
             )]
-            rt.shards[rt.router.route(id)].monitors.insert(id, monitor);
+            let adopted = rt.shards[rt.router.route(id)].insert(id, monitor);
+            if !adopted {
+                return Err(PersistError::Corrupt(format!(
+                    "serve: stream {id} appears twice in the checkpoint"
+                ))
+                .into());
+            }
         }
         if dec.remaining() > 0 {
             // Retry-dedup section; absent in checkpoints cut before it
@@ -1746,6 +1641,170 @@ mod tests {
             "pre-close samples still alarm: {alarms:?}"
         );
         assert_eq!(rt.stats().pushes, 10);
+    }
+
+    /// Removing a stream from the middle of a shard's slab moves the last
+    /// slot into the hole. One shard holds every stream here, so the close
+    /// and the export both hit the middle of one slab while ingestion goes
+    /// on around them; every other stream must keep its own monitor.
+    #[test]
+    fn closing_and_exporting_mid_slab_streams_leaves_every_other_stream_intact() {
+        let clf = detector();
+        let (closed, close_at) = (IDS[2], 25);
+        let (exported, export_at) = (IDS[1], 50);
+        let batches = traffic(&IDS, 120);
+        let mut rt = Runtime::new(&clf, config(1)).unwrap();
+        let mut alarms = Vec::new();
+        for (t, b) in batches.iter().enumerate() {
+            if t == close_at {
+                assert!(rt.close_stream(closed));
+            }
+            if t == export_at {
+                assert_eq!(rt.export_streams(&[exported]).unwrap().len(), 1);
+            }
+            let live: Vec<Record> = b
+                .iter()
+                .copied()
+                .filter(|r| {
+                    !(r.stream == closed && t >= close_at || r.stream == exported && t >= export_at)
+                })
+                .collect();
+            rt.ingest(&live).unwrap();
+            if t % 10 == 9 {
+                alarms.extend(rt.drain());
+            }
+        }
+        alarms.extend(rt.drain());
+
+        // Reference: a runtime that never had the removed streams.
+        let others: Vec<u64> = IDS
+            .iter()
+            .copied()
+            .filter(|&id| id != closed && id != exported)
+            .collect();
+        let only_others: Vec<Vec<Record>> = batches
+            .iter()
+            .map(|b| {
+                b.iter()
+                    .copied()
+                    .filter(|r| others.contains(&r.stream))
+                    .collect()
+            })
+            .collect();
+        let mut reference_rt = Runtime::new(&clf, config(1)).unwrap();
+        let reference = run_all(&mut reference_rt, &only_others);
+        for &id in &others {
+            let bodies = |all: &[StreamAlarm]| -> Vec<Alarm> {
+                all.iter()
+                    .filter(|a| a.stream == id)
+                    .map(|a| a.alarm)
+                    .collect()
+            };
+            assert!(!bodies(&reference).is_empty(), "stream {id} must alarm");
+            assert_eq!(bodies(&alarms), bodies(&reference), "stream {id}");
+        }
+        assert_eq!(rt.stream_ids(), reference_rt.stream_ids());
+        assert_eq!(rt.stream_count(), others.len());
+        for &id in &IDS {
+            assert_eq!(rt.contains_stream(id), others.contains(&id), "stream {id}");
+        }
+    }
+
+    /// Slot order is an accident of arrival: two runtimes opening the same
+    /// streams in opposite orders must write the same checkpoint bytes.
+    #[test]
+    fn checkpoint_bytes_do_not_depend_on_stream_open_order() {
+        let clf = detector();
+        let batches = traffic(&IDS, 60);
+        let mut reversed = IDS;
+        reversed.reverse();
+        let mut written = Vec::new();
+        for (tag, order) in [("forward", IDS), ("reversed", reversed)] {
+            let root = tmp_root(&format!("open-order-{tag}"));
+            let registry = ModelRegistry::open(&root).unwrap();
+            let mut rt = Runtime::new(&clf, config(2)).unwrap();
+            for &id in &order {
+                assert!(rt.open_stream(id));
+            }
+            for (t, b) in batches.iter().enumerate() {
+                rt.ingest(b).unwrap();
+                if t == 30 {
+                    rt.rebalance(3).unwrap();
+                }
+            }
+            rt.checkpoint(&registry).unwrap();
+            written.push(registry.load_bytes("pulse.serve").unwrap());
+            let _ = std::fs::remove_dir_all(&root);
+        }
+        assert!(
+            written[0] == written[1],
+            "stream open order leaked into the checkpoint bytes"
+        );
+    }
+
+    #[test]
+    fn export_refuses_a_stream_listed_twice_and_changes_nothing() {
+        let clf = detector();
+        let mut rt = Runtime::new(&clf, config(2)).unwrap();
+        rt.ingest(&traffic(&IDS, 10).concat()).unwrap();
+        let ids = rt.stream_ids();
+        assert!(matches!(
+            rt.export_streams(&[IDS[0], IDS[3], IDS[0]]),
+            Err(ServeError::DuplicateStream { stream }) if stream == IDS[0]
+        ));
+        assert_eq!(rt.stream_ids(), ids, "a refused export retires nothing");
+        assert_eq!(rt.stats().migrated_streams, 0);
+        assert_eq!(rt.export_streams(&[IDS[0]]).unwrap().len(), 1);
+        assert!(!rt.contains_stream(IDS[0]));
+        assert_eq!(rt.stats().migrated_streams, 1);
+    }
+
+    /// The payload-mutation recipe: forge a real checkpoint so its second
+    /// stream carries the first one's id, re-seal it so the checksum holds,
+    /// and recovery must call it corrupt instead of keeping one stream.
+    #[test]
+    fn recover_refuses_a_checkpoint_listing_a_stream_twice() {
+        let root = tmp_root("listed-twice");
+        let clf = detector();
+        let registry = ModelRegistry::open(&root).unwrap();
+        let (first, second) = (0x0A0A_0A0A_0A0A_0A0A_u64, 0x0B0B_0B0B_0B0B_0B0B_u64);
+        let mut rt = Runtime::new(&clf, config(2)).unwrap();
+        rt.ingest(&traffic(&[first, second], 10).concat()).unwrap();
+        // No undelivered alarms, so each id occurs once in the payload.
+        rt.drain();
+        rt.checkpoint(&registry).unwrap();
+        let sealed = registry.load_bytes("pulse.serve").unwrap();
+        let end = sealed.len() - 8;
+        let start = end - etsc_persist::inspect(&sealed).unwrap().payload_len;
+        let mut payload = sealed[start..end].to_vec();
+        let offsets = |payload: &[u8], id: u64| -> Vec<usize> {
+            payload
+                .windows(8)
+                .enumerate()
+                .filter(|(_, w)| *w == id.to_le_bytes())
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert_eq!(offsets(&payload, first).len(), 1);
+        let at = offsets(&payload, second);
+        assert_eq!(at.len(), 1);
+        payload[at[0]..at[0] + 8].copy_from_slice(&first.to_le_bytes());
+        registry
+            .save_bytes(
+                "pulse.serve",
+                &etsc_persist::envelope(SERVE_STATE_KIND, &payload),
+            )
+            .unwrap();
+        match Runtime::recover(&clf, &root, "pulse") {
+            Err(ServeError::Persist(PersistError::Corrupt(msg))) => {
+                assert!(msg.contains(&first.to_string()), "names the id: {msg}");
+            }
+            other => panic!(
+                "expected Corrupt, got {:?}",
+                other.map(|rt| rt.stream_count())
+            ),
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -415,8 +415,10 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
 /// measured ~20% slower per sample than the per-anchor loop it replaced
 /// (4096 `TemplateMatcher` streams, one or two anchors each, 2-vCPU Xeon).
 /// The block's state is boxed as well: at that stream count every byte of
-/// the monitor counts (padding the per-anchor monitor by 48 bytes cost ~6%
-/// of `records_per_s` on perfbench's `many-streams-checkpoint`).
+/// the monitor counted while the serve runtime kept monitors in an ordered
+/// map (padding the per-anchor monitor by 48 bytes cost ~6% of
+/// `records_per_s` on perfbench's `many-streams-checkpoint`; in the serve
+/// shard's dense slab the same padding measures within noise).
 enum Lanes<'a, C: EarlyClassifier + ?Sized> {
     Block(Box<Block<'a>>),
     Sessions(SessionLanes<'a, C>),

@@ -689,7 +689,7 @@
 //! | rule | clippy lint | enabled in |
 //! |---|---|---|
 //! | **determinism**: no ambient clock | `disallowed_methods` (`Instant::now`, `SystemTime::now`) | root `clippy.toml`; `crates/bench` and the criterion shim opt out in their `Cargo.toml` |
-//! | **ordered-iteration**: no hash-ordered collections | `disallowed_types` (`HashMap`, `HashSet`) | root `clippy.toml`, every crate |
+//! | **ordered-iteration**: no hash-ordered collections (one reviewed exemption: the serve shard's lookup-only, never-iterated stream id → slot index) | `disallowed_types` (`HashMap`, `HashSet`) | root `clippy.toml`, every crate |
 //! | **panic-freedom**: no `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`/bare indexing | `unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`, `unimplemented`, `indexing_slicing` | `#![warn]` in the serve, net and persist `lib.rs`; unit tests exempt via `clippy.toml` |
 //! | **cast-safety**: no narrowing or sign-changing `as` casts in the frozen codecs | `cast_possible_truncation`, `cast_sign_loss`, `cast_possible_wrap` | `#![warn]` atop `persist/src/lib.rs` (the whole crate) and `net/src/wire.rs` |
 //! | **lock-hygiene**: no path holds two locks | `disallowed_methods` (`Mutex::lock`, `RwLock::{read, write}`) | root `clippy.toml`, every crate |

@@ -11,7 +11,7 @@
 
 use etsc::core::UcrDataset;
 use etsc::early::ects::{Ects, EctsConfig};
-use etsc::net::{Cluster, Endpoint, Listener, NetClient, Node, NodeConfig};
+use etsc::net::{Cluster, Endpoint, Listener, NetClient, Node, NodeConfig, WireError};
 use etsc::persist::ModelRegistry;
 use etsc::serve::{Record, Runtime, RuntimeConfig, StreamAlarm, StreamService};
 use etsc::stream::{Alarm, StreamMonitorConfig, StreamNorm};
@@ -238,6 +238,78 @@ fn cross_node_migration_preserves_alarm_sequences() {
             per_stream(&cluster_alarms, id),
             per_stream(&reference, id),
             "stream {id}: cluster alarms must match the single-process run"
+        );
+    }
+}
+
+/// A migration that lists a stream twice is refused before anything moves:
+/// the source node keeps the stream, the cluster still holds every stream
+/// where it was, and every alarm sequence stays the single-process one.
+#[test]
+fn a_migration_listing_a_stream_twice_is_refused_and_moves_nothing() {
+    let clf = Ects::fit(&train_set(), &EctsConfig::default());
+    let reference = reference_alarms(&clf);
+
+    let node_a = Node::new(
+        Runtime::new(&clf, serve_cfg()).unwrap(),
+        NodeConfig::default(),
+    );
+    let node_b = Node::new(
+        Runtime::new(&clf, serve_cfg()).unwrap(),
+        NodeConfig::default(),
+    );
+    let (la, ea) = bind_loopback();
+    let (lb, eb) = bind_loopback();
+    let batches = traffic();
+    // Deterministic placement (ring order depends on ephemeral ports).
+    let on_a = [STREAM_IDS[1], STREAM_IDS[3]];
+    let on_b = [STREAM_IDS[0], STREAM_IDS[2], STREAM_IDS[4]];
+
+    let cluster_alarms = std::thread::scope(|s| {
+        let guard_a = StopGuard(&node_a);
+        let guard_b = StopGuard(&node_b);
+        let server_a = s.spawn(|| node_a.serve(la));
+        let server_b = s.spawn(|| node_b.serve(lb));
+
+        let mut cluster = Cluster::connect(&[ea.clone(), eb.clone()]).unwrap();
+        for &id in &STREAM_IDS {
+            cluster.open_stream(id).unwrap();
+        }
+        cluster.migrate(&on_a, 0).unwrap();
+        cluster.migrate(&on_b, 1).unwrap();
+        let mut alarms = Vec::new();
+        for (t, batch) in batches.iter().enumerate() {
+            cluster.ingest(batch).unwrap();
+            if t == 49 {
+                let err = cluster.migrate(&[on_a[0], on_a[0]], 1).unwrap_err();
+                assert!(
+                    matches!(err, WireError::DuplicateStream { stream } if stream == on_a[0]),
+                    "expected DuplicateStream for {}, got {err}",
+                    on_a[0]
+                );
+                assert_eq!(cluster.router().route(on_a[0]), 0, "nothing was re-pinned");
+                assert_eq!(cluster.client(0).stream_count().unwrap(), on_a.len());
+                assert_eq!(cluster.client(1).stream_count().unwrap(), on_b.len());
+            }
+            if (t + 1) % 8 == 0 {
+                alarms.extend(cluster.drain().unwrap());
+            }
+        }
+        alarms.extend(cluster.drain().unwrap());
+        assert_eq!(cluster.stream_count().unwrap(), STREAM_IDS.len());
+
+        drop(guard_a);
+        drop(guard_b);
+        server_a.join().unwrap().unwrap();
+        server_b.join().unwrap().unwrap();
+        alarms
+    });
+
+    for &id in &STREAM_IDS {
+        assert_eq!(
+            per_stream(&cluster_alarms, id),
+            per_stream(&reference, id),
+            "stream {id}: the refused migration must be invisible in the alarms"
         );
     }
 }

@@ -12,6 +12,11 @@
 //!
 //! The fixture models are fitted on a fully deterministic, hand-rolled
 //! dataset (no RNG), so regeneration is reproducible across machines.
+//!
+//! `serve_state.etsc` pins the serving runtime's checkpoint
+//! ([`SERVE_STATE_KIND`]) the same way: the current runtime must write
+//! those bytes exactly for the scripted traffic below, and recovering from
+//! them must continue every alarm sequence.
 
 use std::path::PathBuf;
 
@@ -23,7 +28,9 @@ use etsc::early::edsc::{Edsc, EdscConfig, ThresholdMethod};
 use etsc::early::relclass::{RelClass, RelClassConfig};
 use etsc::early::template::TemplateMatcher;
 use etsc::early::{checkpoint_session, resume_session, EarlyClassifier, SessionNorm};
-use etsc::persist::{inspect, Persist, FORMAT_VERSION};
+use etsc::persist::{inspect, ModelRegistry, Persist, FORMAT_VERSION};
+use etsc::serve::{OverflowPolicy, Record, Runtime, RuntimeConfig, StreamAlarm, SERVE_STATE_KIND};
+use etsc::stream::{StreamMonitorConfig, StreamNorm};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/persist")
@@ -96,6 +103,88 @@ fn fixture_session_bytes(ects: &Ects) -> Vec<u8> {
     checkpoint_session(s.as_ref()).expect("ects session checkpoints")
 }
 
+/// Serve fixture streams, opened in this (unsorted) order; the ids spread
+/// over both shards of the 2-shard start and move when it grows to 3.
+const SERVE_IDS: [u64; 6] = [901, 7, 4_000_000_007, 33, u64::MAX - 2, 120];
+/// Traffic rounds (one record per stream each): a drain after round
+/// `SERVE_DRAIN_AT`, a rebalance after `SERVE_REBALANCE_AT`, and the
+/// checkpoint cut after `SERVE_CUT` rounds, with the rounds since the
+/// drain still undelivered.
+const SERVE_REBALANCE_AT: usize = 20;
+const SERVE_DRAIN_AT: usize = 30;
+const SERVE_CUT: usize = 40;
+const SERVE_ROUNDS: usize = 72;
+/// The tagged client whose ingest cursor the checkpoint carries.
+const SERVE_CLIENT: u64 = 77;
+
+fn serve_config() -> RuntimeConfig {
+    RuntimeConfig {
+        shards: 2,
+        queue_capacity: 64,
+        overflow: OverflowPolicy::Block,
+        monitor: StreamMonitorConfig {
+            anchor_stride: 3,
+            norm: StreamNorm::Raw,
+            refractory: 12,
+        },
+        model_name: "template".to_string(),
+        threads: Some(2),
+    }
+}
+
+/// Round `t` of the serve fixture traffic: each stream replays the class-1
+/// template from its own phase, so anchors that land on a period start
+/// match it and every stream alarms, at different rounds.
+fn serve_round(template: &TemplateMatcher, t: usize) -> Vec<Record> {
+    let pattern = &template.templates()[1];
+    SERVE_IDS
+        .iter()
+        .enumerate()
+        .map(|(k, &id)| Record::new(id, pattern[(t + 5 * k) % pattern.len()]))
+        .collect()
+}
+
+/// Drive a fresh runtime to the checkpoint cut; returns it with the
+/// alarms drained before the cut. Rounds go through the tagged client, so
+/// the cut carries its cursor.
+fn serve_head(template: &TemplateMatcher) -> (Runtime<'_, TemplateMatcher>, Vec<StreamAlarm>) {
+    let mut rt = Runtime::new(template, serve_config()).unwrap();
+    for &id in &SERVE_IDS {
+        assert!(rt.open_stream(id));
+    }
+    let mut delivered = Vec::new();
+    for t in 0..SERVE_CUT {
+        assert!(rt
+            .ingest_tagged(SERVE_CLIENT, t as u64 + 1, &serve_round(template, t))
+            .unwrap());
+        if t + 1 == SERVE_REBALANCE_AT {
+            rt.rebalance(3).unwrap();
+        }
+        if t + 1 == SERVE_DRAIN_AT {
+            delivered.extend(rt.drain());
+        }
+    }
+    (rt, delivered)
+}
+
+fn serve_tmp(tag: &str) -> PathBuf {
+    let mut p = std::env::temp_dir();
+    p.push(format!("etsc-persist-format-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&p);
+    p
+}
+
+/// The serve-state checkpoint the current runtime writes at the cut.
+fn serve_state_bytes(template: &TemplateMatcher) -> Vec<u8> {
+    let (mut rt, _) = serve_head(template);
+    let root = serve_tmp("serve-state");
+    let registry = ModelRegistry::open(&root).unwrap();
+    rt.checkpoint(&registry).unwrap();
+    let bytes = registry.load_bytes("template.serve").unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+    bytes
+}
+
 /// One-time generator (run with `-- --ignored` after a deliberate format
 /// bump). Writes every fixture the stability tests below read.
 #[test]
@@ -115,6 +204,7 @@ fn regenerate_golden_fixtures() {
         fixture_session_bytes(&ects),
     )
     .unwrap();
+    std::fs::write(dir.join("serve_state.etsc"), serve_state_bytes(&template)).unwrap();
 }
 
 fn read_fixture(name: &str) -> Vec<u8> {
@@ -138,6 +228,7 @@ fn golden_fixtures_carry_the_current_format_version() {
         "relclass_diag.etsc",
         "template.etsc",
         "ects_session_raw.etsc",
+        "serve_state.etsc",
     ] {
         let info = inspect(&read_fixture(name))
             .unwrap_or_else(|e| panic!("fixture {name}: envelope no longer validates: {e}"));
@@ -219,4 +310,67 @@ fn golden_session_fixture_resumes_bit_identically() {
             9 + t
         );
     }
+}
+
+#[test]
+fn golden_serve_state_is_written_byte_for_byte() {
+    let (_, _, _, _, _, template) = fixture_models();
+    let golden = read_fixture("serve_state.etsc");
+    assert_eq!(inspect(&golden).unwrap().kind, SERVE_STATE_KIND);
+    assert!(
+        serve_state_bytes(&template) == golden,
+        "the runtime no longer writes the golden serve checkpoint: a layout change must bump \
+         the format version and regenerate fixtures"
+    );
+}
+
+#[test]
+fn golden_serve_state_recovers_and_continues_every_alarm_sequence() {
+    let (_, _, _, _, _, template) = fixture_models();
+    // Uninterrupted reference over the whole traffic, on a fixed topology.
+    let mut whole = Runtime::new(&template, serve_config()).unwrap();
+    for t in 0..SERVE_ROUNDS {
+        whole.ingest(&serve_round(&template, t)).unwrap();
+    }
+    let reference = whole.drain();
+    for &id in &SERVE_IDS {
+        assert!(
+            reference.iter().any(|a| a.stream == id),
+            "stream {id} must alarm"
+        );
+    }
+
+    // The checked-in checkpoint: alarms drained before the cut, then a
+    // runtime recovered from the golden bytes finishes the traffic.
+    let (head, mut alarms) = serve_head(&template);
+    drop(head);
+    let root = serve_tmp("serve-recover");
+    let registry = ModelRegistry::open(&root).unwrap();
+    registry.save("template", &template).unwrap();
+    registry
+        .save_bytes("template.serve", &read_fixture("serve_state.etsc"))
+        .unwrap();
+    let mut tail = Runtime::recover(&template, &root, "template").unwrap();
+    let stats = tail.stats();
+    assert_eq!(tail.shard_count(), 3, "the cut came after the rebalance");
+    assert_eq!(stats.rebalances, 1);
+    assert_eq!(tail.stream_ids(), {
+        let mut ids = SERVE_IDS.to_vec();
+        ids.sort_unstable();
+        ids
+    });
+    assert!(
+        stats.pending_alarms >= 1,
+        "the cut holds undelivered alarms"
+    );
+    assert_eq!(
+        tail.ingest_cursors().get(&SERVE_CLIENT),
+        Some(&(SERVE_CUT as u64))
+    );
+    for t in SERVE_CUT..SERVE_ROUNDS {
+        tail.ingest(&serve_round(&template, t)).unwrap();
+    }
+    alarms.extend(tail.drain());
+    let _ = std::fs::remove_dir_all(&root);
+    assert_eq!(alarms, reference, "recovery must drop and invent nothing");
 }
