@@ -768,6 +768,8 @@ impl Persist for NearestCentroid {
         if n == 0 {
             return Err(PersistError::Corrupt("centroid: zero classes".into()));
         }
+        // Each centroid is at least its 8-byte length prefix.
+        dec.check_claim(n, 8, "centroids")?;
         let mut centroids = Vec::with_capacity(n);
         for _ in 0..n {
             centroids.push(dec.get_f64_vec("centroid vector")?);

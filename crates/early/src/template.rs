@@ -148,6 +148,8 @@ impl Persist for TemplateMatcher {
         if n == 0 {
             return Err(PersistError::Corrupt("template: zero templates".into()));
         }
+        // Each template is at least its 8-byte length prefix.
+        dec.check_claim(n, 8, "templates")?;
         let mut templates = Vec::with_capacity(n);
         for _ in 0..n {
             templates.push(dec.get_f64_vec("template pattern")?);

@@ -10,6 +10,21 @@
 //! which is how this crate proves its alarm sequences match the
 //! in-process runtime's.
 //!
+//! # Exchanges
+//!
+//! A request is one exchange in two halves: the write half puts the
+//! request's frame on the wire, and the read half waits for its reply.
+//! Every verb here runs the two back to back. [`Cluster::ingest`] runs
+//! them apart: it writes every node's sub-batch first and then reads the
+//! acknowledgements in the order it wrote them, so a batch spread over
+//! several nodes costs about one round trip instead of one per node. A
+//! connection still carries one request at a time — its reply is read
+//! before the next frame goes out on it — so a reply always answers the
+//! request just written. Each exchange's deadline runs from its own write
+//! ([`ClientConfig::request_timeout`]).
+//!
+//! [`Cluster::ingest`]: crate::Cluster::ingest
+//!
 //! # Resilience
 //!
 //! Every request runs under the configured [`RetryPolicy`]: failures that
@@ -25,6 +40,7 @@
 //! deduplicates server-side so a batch whose acknowledgement was lost in
 //! transit is never applied twice.
 
+use std::io::Write;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -44,9 +60,15 @@ use crate::wire::{read_frame, Message, ReadOutcome, MAX_FRAME_PAYLOAD};
 /// Tuning for a [`NetClient`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Deadline for a whole request/reply exchange. Zero disables the
-    /// deadline (the client waits as long as the node computes — the right
-    /// choice when ingest legitimately blocks on remote backpressure).
+    /// Deadline for a reply, counted from the write of its request (every
+    /// attempt of a retried request starts a fresh one). It bounds waiting
+    /// only: a reply already in the socket is read even when the deadline
+    /// has passed, which matters when [`Cluster::ingest`] reads one node's
+    /// acknowledgement after another's. Zero disables the deadline (the
+    /// client waits as long as the node computes — the right choice when
+    /// ingest legitimately blocks on remote backpressure).
+    ///
+    /// [`Cluster::ingest`]: crate::Cluster::ingest
     pub request_timeout: Duration,
     /// Largest reply payload the client will accept.
     pub max_frame_payload: usize,
@@ -93,6 +115,36 @@ impl Default for ClientConfig {
             tracer: None,
         }
     }
+}
+
+/// A request ready for the wire: the frame every attempt writes, its RTT
+/// slot, and whether a transport fault may be retried (see the
+/// [module docs](self)).
+pub(crate) struct Request {
+    frame: Vec<u8>,
+    slot: Option<usize>,
+    idempotent: bool,
+}
+
+impl Request {
+    fn new(msg: &Message, idempotent: bool) -> Self {
+        Self {
+            frame: msg.to_frame_bytes(),
+            slot: MessageTimings::index_of(msg),
+            idempotent,
+        }
+    }
+}
+
+/// What the write half hands the read half: a request is on the wire and
+/// its reply is still unread.
+pub(crate) struct Sent {
+    /// RTT slot and the clock reading just before the write; `None` when
+    /// the exchange is untimed.
+    rtt: Option<(usize, u64)>,
+    /// When waiting for the reply gives up, counted from the write; `None`
+    /// waits as long as the node computes.
+    deadline: Option<u64>,
 }
 
 /// A connection to one [`Node`](crate::Node).
@@ -211,61 +263,84 @@ impl NetClient {
         Ok(())
     }
 
-    /// Send one request and wait for its reply, without retries,
-    /// recording the round trip into the per-kind RTT histograms when the
-    /// clock is enabled. A remote [`Message::Error`] reply is surfaced as
-    /// the carried [`WireError`].
-    fn request_once(&mut self, msg: &Message) -> Result<Message, WireError> {
-        let clock = self.cfg.clock.clone();
-        let slot = if clock.is_disabled() {
-            None
-        } else {
-            MessageTimings::index_of(msg)
+    /// The write half of an exchange: put `req`'s frame on the wire. The
+    /// RTT clock starts just before the write, when the clock is enabled;
+    /// the reply deadline starts just after it. Deadlines are read off the
+    /// configured clock, so a disabled clock disables them and a manual
+    /// clock makes timeout behavior test-steppable.
+    pub(crate) fn send(&mut self, req: &Request) -> Result<Sent, WireError> {
+        let clock = &self.cfg.clock;
+        let rtt = match req.slot {
+            Some(slot) if !clock.is_disabled() => Some((slot, clock.now_ns())),
+            _ => None,
         };
-        let started = if slot.is_some() { clock.now_ns() } else { 0 };
-        let result = self.exchange(msg, &clock);
-        if let (Some(slot), Ok(_)) = (slot, &result) {
-            self.rtt_ns
-                .record(slot, clock.now_ns().saturating_sub(started));
-        }
-        result
-    }
-
-    /// The raw request/reply exchange under a per-request deadline.
-    /// Deadlines are read off `clock`, so a disabled clock disables them
-    /// and a manual clock makes timeout behavior test-steppable.
-    fn exchange(&mut self, msg: &Message, clock: &Clock) -> Result<Message, WireError> {
-        msg.write_to(&mut self.conn)?;
+        self.conn.write_all(&req.frame)?;
+        self.conn.flush()?;
         let deadline = if self.cfg.request_timeout.is_zero() || clock.is_disabled() {
             None
         } else {
             let timeout = u64::try_from(self.cfg.request_timeout.as_nanos()).unwrap_or(u64::MAX);
             Some(clock.now_ns().saturating_add(timeout))
         };
+        Ok(Sent { rtt, deadline })
+    }
+
+    /// The read half of an exchange: read the reply to the request `sent`
+    /// describes, recording the round trip into the per-kind RTT
+    /// histograms on success. A remote [`Message::Error`] reply is
+    /// surfaced as the carried [`WireError`].
+    pub(crate) fn recv(&mut self, sent: Sent) -> Result<Message, WireError> {
+        let clock = &self.cfg.clock;
         let outcome = read_frame(&mut self.conn, self.cfg.max_frame_payload, &mut || {
-            deadline.is_some_and(|d| clock.now_ns() >= d)
+            sent.deadline.is_some_and(|d| clock.now_ns() >= d)
         })?;
-        match outcome {
+        let reply = match outcome {
             ReadOutcome::Frame(frame) => match Message::decode(&frame)? {
-                Message::Error(err) => Err(err),
-                reply => Ok(reply),
+                Message::Error(err) => return Err(err),
+                reply => reply,
             },
-            ReadOutcome::Closed => Err(WireError::ConnectionClosed),
-            ReadOutcome::Stopped => Err(WireError::TimedOut),
+            ReadOutcome::Closed => return Err(WireError::ConnectionClosed),
+            ReadOutcome::Stopped => return Err(WireError::TimedOut),
+        };
+        if let Some((slot, started)) = sent.rtt {
+            self.rtt_ns
+                .record(slot, clock.now_ns().saturating_sub(started));
         }
+        Ok(reply)
+    }
+
+    /// One attempt at `req`: both halves, back to back, without retries.
+    fn attempt(&mut self, req: &Request) -> Result<Message, WireError> {
+        let sent = self.send(req)?;
+        self.recv(sent)
     }
 
     /// Send a request under the retry policy. `idempotent` marks requests
     /// that are safe to re-send even when a transport fault hides whether
     /// the node applied the original (see the [module docs](self)).
     fn request(&mut self, msg: &Message, idempotent: bool) -> Result<Message, WireError> {
+        let req = Request::new(msg, idempotent);
+        let first = self.attempt(&req);
+        self.settle(&req, first)
+    }
+
+    /// Run the retry policy over `req`, whose first attempt already ended
+    /// in `first`: that attempt counts against
+    /// [`RetryPolicy::max_attempts`], and the rest run here.
+    fn settle(
+        &mut self,
+        req: &Request,
+        first: Result<Message, WireError>,
+    ) -> Result<Message, WireError> {
+        let mut outcome = first;
         let mut retries_done = 0u32;
         loop {
-            let err = match self.request_once(msg) {
+            let err = match outcome {
                 Ok(reply) => return Ok(reply),
                 Err(e) => e,
             };
-            let retryable = err.leaves_request_unapplied() || (idempotent && err.is_retryable());
+            let retryable =
+                err.leaves_request_unapplied() || (req.idempotent && err.is_retryable());
             let out_of_attempts = retries_done + 1 >= self.cfg.retry.max_attempts.max(1);
             if !retryable || out_of_attempts {
                 if retryable {
@@ -295,7 +370,7 @@ impl NetClient {
             let delay_ns = u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX);
             self.backoff_ns.record(delay_ns);
             if let Some(t) = self.cfg.tracer.as_ref().filter(|t| t.enabled()) {
-                let code = MessageTimings::index_of(msg).unwrap_or(0) as u64;
+                let code = req.slot.unwrap_or(0) as u64;
                 t.event(
                     Severity::Warn,
                     EventKind::Retry,
@@ -306,6 +381,7 @@ impl NetClient {
             }
             std::thread::sleep(delay);
             retries_done += 1;
+            outcome = self.attempt(req);
         }
     }
 
@@ -319,7 +395,7 @@ impl NetClient {
     /// checking, where retrying inside the probe would hide exactly the
     /// signal the caller wants.
     pub fn ping_once(&mut self, token: u64) -> Result<u64, WireError> {
-        let reply = self.request_once(&Message::Ping { token })?;
+        let reply = self.attempt(&Request::new(&Message::Ping { token }, true))?;
         expect_reply!(reply, "Pong", Message::Pong { token } => token)
     }
 
@@ -384,13 +460,30 @@ impl NetClient {
         batch: &[Record],
         ctx: Option<TraceContext>,
     ) -> Result<(), WireError> {
-        let msg = Message::IngestBatch {
-            client: self.cfg.client_id,
-            seq: self.next_seq,
-            records: batch.to_vec(),
-            ctx,
-        };
-        let reply = self.request(&msg, self.cfg.client_id != 0)?;
+        let req = self.ingest_request(batch, ctx);
+        let first = self.attempt(&req);
+        self.finish_ingest(&req, first)
+    }
+
+    /// The ingest request for `batch` under the next batch seq, framed
+    /// straight from the borrowed records. Tagged batches are idempotent.
+    pub(crate) fn ingest_request(&self, batch: &[Record], ctx: Option<TraceContext>) -> Request {
+        Request {
+            frame: crate::wire::ingest_frame(self.cfg.client_id, self.next_seq, batch, ctx),
+            slot: Some(MessageTimings::INGEST_BATCH),
+            idempotent: self.cfg.client_id != 0,
+        }
+    }
+
+    /// Finish an ingest whose first attempt ended in `first`: the retry
+    /// policy runs the remaining attempts, and an acknowledgement advances
+    /// the batch seq.
+    pub(crate) fn finish_ingest(
+        &mut self,
+        req: &Request,
+        first: Result<Message, WireError>,
+    ) -> Result<(), WireError> {
+        let reply = self.settle(req, first)?;
         let applied = expect_reply!(reply, "IngestAck", Message::IngestAck { applied } => applied)?;
         if !applied {
             self.stats.duplicate_acks += 1;

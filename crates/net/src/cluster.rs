@@ -11,7 +11,9 @@
 //! between machines costs a snapshot round-trip.
 //!
 //! [`Cluster`] adds the data path on top: it routes every request to the
-//! owning node's [`NetClient`], merges drains deterministically, and moves
+//! owning node's [`NetClient`] (an ingest writes every node's sub-batch
+//! before it reads any acknowledgement, so a batch costs about one round
+//! trip whatever the node count), merges drains deterministically, and moves
 //! live streams between nodes with the same two-phase snapshot/restore
 //! discipline the in-process rebalance uses — on any failure the streams
 //! are restored to their source node and the routing topology is left
@@ -25,7 +27,7 @@ use etsc_core::trace::{EventKind, Severity, SpanKind, TraceContext, Tracer};
 use etsc_serve::stats::{push_counter, push_gauge};
 use etsc_serve::{Record, StreamAlarm, StreamService};
 
-use crate::client::{ClientConfig, NetClient};
+use crate::client::{ClientConfig, NetClient, Request, Sent};
 use crate::error::WireError;
 use crate::metrics::MessageTimings;
 use crate::retry::RetryStats;
@@ -170,6 +172,28 @@ struct PendingBatch {
     ctx: Option<TraceContext>,
 }
 
+/// An open `ClientSend` span: the tracer, the context it was opened under,
+/// its id, and its start.
+type SendSpan = (Tracer, TraceContext, u64, u64);
+
+/// One node's share of a fan-out between the scatter and the gather.
+enum Leg {
+    /// Held back behind the node's stashed batches: never sent, and
+    /// stashed during the gather so the stash stays in node order. `seq`
+    /// is what the batch will carry when the stash redelivers it.
+    Queued { node: usize, seq: u64 },
+    /// Written, or failed while writing; the gather reads the
+    /// acknowledgement and runs the rest of the retry policy.
+    Written {
+        node: usize,
+        req: Request,
+        sent: Result<Sent, WireError>,
+        /// The context the sub-batch travels under.
+        ctx: Option<TraceContext>,
+        span: Option<SendSpan>,
+    },
+}
+
 /// A connected cluster: one [`NetClient`] per node plus the router that
 /// decides which node serves which stream.
 ///
@@ -189,6 +213,9 @@ struct PendingBatch {
 pub struct Cluster {
     router: ClusterRouter,
     clients: Vec<NetClient>,
+    /// Per-node routing buffers, reused across fan-outs. Each is empty
+    /// between calls; a sub-batch that fails is stashed with its buffer.
+    parts: Vec<Vec<Record>>,
     pending: Vec<PendingBatch>,
     /// Alarms already pulled off some node by a [`drain`](Cluster::drain)
     /// whose merge then failed on another node. They left the remote
@@ -220,23 +247,40 @@ impl Cluster {
     /// seq applied per id across checkpoints, so a rebuilt cluster must
     /// use a fresh base — reusing one would make its restarted sequence
     /// numbers look like duplicates. Give concurrent drivers of the same
-    /// nodes disjoint bases too.
+    /// nodes disjoint bases too. A base too large to give every node an id
+    /// (`base + nodes - 1` past `u64::MAX`) is refused before any dial.
     pub fn connect_with(endpoints: &[Endpoint], cfg: ClientConfig) -> Result<Self, WireError> {
         let router = ClusterRouter::new(endpoints.to_vec())?;
+        let ids = (0..endpoints.len())
+            .map(|i| match cfg.client_id {
+                0 => Some(0),
+                base => u64::try_from(i).ok().and_then(|i| base.checked_add(i)),
+            })
+            .collect::<Option<Vec<u64>>>()
+            .ok_or_else(|| {
+                WireError::RemoteBadConfig(format!(
+                    "client id base {} overflows u64 before each of {} nodes gets an id",
+                    cfg.client_id,
+                    endpoints.len()
+                ))
+            })?;
         let clients = endpoints
             .iter()
-            .enumerate()
-            .map(|(i, ep)| {
-                let mut node_cfg = cfg.clone();
-                if cfg.client_id != 0 {
-                    node_cfg.client_id = cfg.client_id + i as u64;
-                }
-                NetClient::connect_with(ep, node_cfg)
+            .zip(ids)
+            .map(|(ep, client_id)| {
+                NetClient::connect_with(
+                    ep,
+                    ClientConfig {
+                        client_id,
+                        ..cfg.clone()
+                    },
+                )
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             router,
             clients,
+            parts: vec![Vec::new(); endpoints.len()],
             pending: Vec::new(),
             drained: Vec::new(),
             failovers: 0,
@@ -301,20 +345,34 @@ impl Cluster {
         self.node_client(node).open_stream(stream)
     }
 
+    /// Node `node`'s routing buffer; in bounds for the same reason as
+    /// [`node_client`](Self::node_client) (one buffer per client).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "node index is router-produced, so in bounds by construction"
+    )]
+    fn part(&mut self, node: usize) -> &mut Vec<Record> {
+        &mut self.parts[node]
+    }
+
     /// Route a batch to its owning nodes. Records keep their relative
     /// order within each node's sub-batch, so per-stream ingest order is
     /// preserved (every record of one stream goes to one node).
     ///
-    /// Previously failed sub-batches are redelivered first (FIFO per
-    /// node, so per-stream order survives an outage). Then each of this
-    /// batch's sub-batches is sent to its node — every node is attempted
-    /// even when one fails, so a flaky node cannot starve the others. A
-    /// sub-batch that fails (after the client's own retries) is stashed
-    /// for the next call; the first error is returned. **On error, do not
-    /// re-submit the batch** — its failed records are already queued
-    /// internally and will be redelivered exactly once (or re-routed /
-    /// dropped by [`apply_failover`](Self::apply_failover) if their node
-    /// is declared dead).
+    /// Scatter, then gather: previously failed sub-batches are redelivered
+    /// first (FIFO per node, so per-stream order survives an outage). Then
+    /// every node's sub-batch of this batch is written before any
+    /// acknowledgement is read, and the acknowledgements are read in the
+    /// order the sub-batches went out — so the batch costs about one round
+    /// trip, not one per node. The call returns once every acknowledgement
+    /// has been read. Every node is attempted even when one fails, so a
+    /// flaky node cannot starve the others. A sub-batch that fails (after
+    /// the client's own retries) is stashed for the next call; the first
+    /// error in node order is returned. **On error, do not re-submit the
+    /// batch** — its failed records are already queued internally and will
+    /// be redelivered exactly once (or re-routed / dropped by
+    /// [`apply_failover`](Self::apply_failover) if their node is declared
+    /// dead).
     pub fn ingest(&mut self, batch: &[Record]) -> Result<(), WireError> {
         // With a live tracer, every cluster ingest opens one trace: a
         // ClientIngest root, one ClientSend child per node-bound
@@ -351,75 +409,109 @@ impl Cluster {
     }
 
     /// The routing fan-out behind [`ingest`](Self::ingest): route each
-    /// record to its owning node and send per-node sub-batches under
-    /// `ctx` (each send gets its own `ClientSend` span parented to
-    /// `ctx.parent_span` when tracing is live). Failover redelivery calls
-    /// this directly with a `Redelivery` span as the parent, so
-    /// redelivered records stay inside the trace they started in.
+    /// record into its owning node's buffer, write every node's sub-batch
+    /// (the scatter), then read their acknowledgements in node order (the
+    /// gather). Each sub-batch travels under `ctx`, inside its own
+    /// `ClientSend` span parented to `ctx.parent_span` when tracing is
+    /// live; the span opens before the write and closes after the
+    /// acknowledgement, so the spans of one call overlap. Failover
+    /// redelivery calls this directly with a `Redelivery` span as the
+    /// parent, so redelivered records stay inside the trace they started
+    /// in.
     fn ingest_fanout(
         &mut self,
         batch: &[Record],
         ctx: Option<TraceContext>,
     ) -> Result<(), WireError> {
         let mut first_err = self.flush_pending().err();
-        let mut per_node: BTreeMap<usize, Vec<Record>> = BTreeMap::new();
         for r in batch {
-            per_node
-                .entry(self.router.route(r.stream))
-                .or_default()
-                .push(*r);
+            let node = self.router.route(r.stream);
+            self.part(node).push(*r);
         }
         let tracer = self.tracer.as_ref().filter(|t| t.enabled()).cloned();
-        for (node, records) in per_node {
+        let mut legs = Vec::new();
+        let nodes = self.clients.iter_mut().zip(&self.parts).enumerate();
+        for (node, (client, part)) in nodes.filter(|(_, (_, part))| !part.is_empty()) {
             // A node with batches still stuck in the stash must not be
-            // sent newer records ahead of them. The stashed batch keeps
-            // the root-parented context (no ClientSend span — nothing was
-            // sent yet).
+            // sent newer records ahead of them.
             let queued_ahead = self.pending.iter().filter(|p| p.node == node).count() as u64;
             if queued_ahead > 0 {
-                let seq = self.node_client(node).next_batch_seq() + queued_ahead;
-                self.pending.push(PendingBatch {
-                    node,
-                    seq,
-                    records,
-                    ctx,
-                });
+                let seq = client.next_batch_seq() + queued_ahead;
+                legs.push(Leg::Queued { node, seq });
                 continue;
             }
-            let send = match (&tracer, ctx) {
+            let span = match (&tracer, ctx) {
                 (Some(t), Some(ctx)) => {
                     let id = t.alloc_span_id();
                     Some((t.clone(), ctx, id, t.start()))
                 }
                 _ => None,
             };
-            let send_ctx = match &send {
+            let send_ctx = match &span {
                 Some((_, ctx, id, _)) => Some(TraceContext {
                     trace_id: ctx.trace_id,
                     parent_span: *id,
                 }),
                 None => ctx,
             };
-            let seq = self.node_client(node).next_batch_seq();
-            let outcome = self.node_client(node).ingest_ctx(&records, send_ctx);
-            if let Some((t, ctx, id, started)) = send {
-                t.span_with_id(
-                    id,
-                    SpanKind::ClientSend,
-                    ctx.trace_id,
-                    ctx.parent_span,
-                    started,
-                    node as u64,
-                );
-            }
-            if let Err(e) = outcome {
-                self.pending.push(PendingBatch {
+            let req = client.ingest_request(part, send_ctx);
+            let sent = client.send(&req);
+            legs.push(Leg::Written {
+                node,
+                req,
+                sent,
+                ctx: send_ctx,
+                span,
+            });
+        }
+        for leg in legs {
+            match leg {
+                // The stashed batch keeps the root-parented context (no
+                // ClientSend span — nothing was sent).
+                Leg::Queued { node, seq } => {
+                    let records = std::mem::take(self.part(node));
+                    self.pending.push(PendingBatch {
+                        node,
+                        seq,
+                        records,
+                        ctx,
+                    });
+                }
+                Leg::Written {
                     node,
-                    seq,
-                    records,
+                    req,
+                    sent,
                     ctx: send_ctx,
-                });
-                first_err.get_or_insert(e);
+                    span,
+                } => {
+                    let client = self.node_client(node);
+                    let seq = client.next_batch_seq();
+                    let first = sent.and_then(|sent| client.recv(sent));
+                    let outcome = client.finish_ingest(&req, first);
+                    if let Some((t, ctx, id, started)) = span {
+                        t.span_with_id(
+                            id,
+                            SpanKind::ClientSend,
+                            ctx.trace_id,
+                            ctx.parent_span,
+                            started,
+                            node as u64,
+                        );
+                    }
+                    match outcome {
+                        Ok(()) => self.part(node).clear(),
+                        Err(e) => {
+                            let records = std::mem::take(self.part(node));
+                            self.pending.push(PendingBatch {
+                                node,
+                                seq,
+                                records,
+                                ctx: send_ctx,
+                            });
+                            first_err.get_or_insert(e);
+                        }
+                    }
+                }
             }
         }
         match first_err {
@@ -826,6 +918,44 @@ mod tests {
         router.pin(stream, home);
         assert_eq!(router.route(stream), home);
         assert_eq!(router.pinned().count(), 0);
+    }
+
+    #[test]
+    fn a_client_id_base_that_overflows_is_refused_before_dialing() {
+        use crate::fault::{Fault, FaultPlan, Op};
+        use crate::transport::Listener;
+
+        let listeners: Vec<Listener> = (0..2)
+            .map(|_| Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).unwrap())
+            .collect();
+        let endpoints: Vec<Endpoint> = listeners
+            .iter()
+            .map(|l| l.local_endpoint().unwrap())
+            .collect();
+        // A dial would consume the scripted refusal; the refusal must
+        // still be pending after the typed error.
+        let faults = FaultPlan::new()
+            .at(Op::Connect(0), Fault::RefuseConnect)
+            .build();
+        let cfg = ClientConfig {
+            client_id: u64::MAX,
+            faults: Some(faults.clone()),
+            ..ClientConfig::default()
+        };
+        assert!(matches!(
+            Cluster::connect_with(&endpoints, cfg),
+            Err(WireError::RemoteBadConfig(_))
+        ));
+        assert_eq!(faults.pending(), 1, "refused before any dial");
+
+        // The largest base that fits gives the last node u64::MAX.
+        let cfg = ClientConfig {
+            client_id: u64::MAX - 1,
+            ..ClientConfig::default()
+        };
+        let mut cluster = Cluster::connect_with(&endpoints, cfg).unwrap();
+        assert_eq!(cluster.client(0).client_id(), u64::MAX - 1);
+        assert_eq!(cluster.client(1).client_id(), u64::MAX);
     }
 
     #[test]

@@ -68,11 +68,15 @@ impl MessageTimings {
         }
     }
 
+    /// The [`Message::IngestBatch`] slot, for ingest frames encoded
+    /// without a [`Message`].
+    pub(crate) const INGEST_BATCH: usize = 1;
+
     /// Slot index for a *request* message, `None` for reply types.
     pub fn index_of(msg: &Message) -> Option<usize> {
         match msg {
             Message::OpenStream { .. } => Some(0),
-            Message::IngestBatch { .. } => Some(1),
+            Message::IngestBatch { .. } => Some(Self::INGEST_BATCH),
             Message::Drain => Some(2),
             Message::Checkpoint => Some(3),
             Message::Stats => Some(4),

@@ -255,9 +255,11 @@ pub fn read_frame(
     if expected != actual {
         return Err(WireError::ChecksumMismatch);
     }
+    // Drop the checksum off the end: the read buffer becomes the payload.
+    rest.truncate(len);
     Ok(ReadOutcome::Frame(Frame {
         msg_type,
-        payload: payload.to_vec(),
+        payload: rest,
     }))
 }
 
@@ -446,6 +448,44 @@ pub enum Message {
         /// variants the in-process path produces.
         WireError,
     ),
+}
+
+/// The [`Message::IngestBatch`] body: the idempotency tag, the records,
+/// then the v3 optional trailing trace context (zero bytes when the sender
+/// is not tracing). [`Message::encode`] and [`ingest_frame`] both write
+/// through here, so the layout lives in one place.
+fn put_ingest_batch(
+    enc: &mut Encoder,
+    client: u64,
+    seq: u64,
+    records: &[Record],
+    ctx: Option<TraceContext>,
+) {
+    enc.put_u64(client);
+    enc.put_u64(seq);
+    enc.put_usize(records.len());
+    for r in records {
+        enc.put_u64(r.stream);
+        enc.put_f64(r.value);
+    }
+    if let Some(ctx) = ctx {
+        enc.put_u64(ctx.trace_id);
+        enc.put_u64(ctx.parent_span);
+    }
+}
+
+/// Frame an [`IngestBatch`](Message::IngestBatch) straight from borrowed
+/// records: the bytes [`Message::to_frame_bytes`] writes for the same
+/// batch, without first copying the records into a [`Message`].
+pub(crate) fn ingest_frame(
+    client: u64,
+    seq: u64,
+    records: &[Record],
+    ctx: Option<TraceContext>,
+) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    put_ingest_batch(&mut enc, client, seq, records, ctx);
+    encode_frame(MT_INGEST_BATCH, &enc.into_bytes())
 }
 
 fn put_alarms(enc: &mut Encoder, alarms: &[StreamAlarm]) {
@@ -638,19 +678,7 @@ impl Message {
                 records,
                 ctx,
             } => {
-                enc.put_u64(*client);
-                enc.put_u64(*seq);
-                enc.put_usize(records.len());
-                for r in records {
-                    enc.put_u64(r.stream);
-                    enc.put_f64(r.value);
-                }
-                // v3 optional trailing trace context: zero bytes when the
-                // sender is not tracing.
-                if let Some(ctx) = ctx {
-                    enc.put_u64(ctx.trace_id);
-                    enc.put_u64(ctx.parent_span);
-                }
+                put_ingest_batch(&mut enc, *client, *seq, records, *ctx);
                 MT_INGEST_BATCH
             }
             Message::Drain => MT_DRAIN,
@@ -955,6 +983,114 @@ mod tests {
             let frame = decode_frame(&bytes, MAX_FRAME_PAYLOAD).unwrap();
             let back = Message::decode(&frame).unwrap();
             assert_eq!(back, msg, "{} must round-trip", msg.name());
+        }
+    }
+
+    /// Golden wire v3 frames, in hex: header (magic, version, type,
+    /// length), the payload in 8-byte fields, then the checksum. Changing
+    /// any of these bytes is a [`WIRE_VERSION`] bump.
+    const GOLDEN_FRAMES: [(&str, &[&str]); 4] = [
+        // Untagged and untraced: client 0, seq 1, two records.
+        (
+            "4554534e03000238000000",
+            &[
+                "0000000000000000",
+                "0100000000000000",
+                "0200000000000000",
+                "0700000000000000",
+                "000000000000f83f",
+                "ffffffffffffffff",
+                "0000000000000080",
+                "193632f817349050",
+            ],
+        ),
+        // Tagged and traced: the 16-byte context trails the records.
+        (
+            "4554534e03000248000000",
+            &[
+                "eeffc00000000000",
+                "2a00000000000000",
+                "0200000000000000",
+                "0300000000000000",
+                "000000000000d03f",
+                "0900000000000000",
+                "00000000000004c0",
+                "edfe000000000000",
+                "1100000000000000",
+                "6eccac90d962bae6",
+            ],
+        ),
+        // Empty.
+        (
+            "4554534e03000218000000",
+            &[
+                "0000000000000000",
+                "0200000000000000",
+                "0000000000000000",
+                "f2cae3a8f24a79bd",
+            ],
+        ),
+        // The acknowledgement.
+        ("4554534e03004201000000", &["01", "a875059ebc950226"]),
+    ];
+
+    fn golden_messages() -> [Message; 4] {
+        [
+            Message::IngestBatch {
+                client: 0,
+                seq: 1,
+                records: vec![Record::new(7, 1.5), Record::new(u64::MAX, -0.0)],
+                ctx: None,
+            },
+            Message::IngestBatch {
+                client: 0xC0FFEE,
+                seq: 42,
+                records: vec![Record::new(3, 0.25), Record::new(9, -2.5)],
+                ctx: Some(TraceContext {
+                    trace_id: 0xFEED,
+                    parent_span: 17,
+                }),
+            },
+            Message::IngestBatch {
+                client: 0,
+                seq: 2,
+                records: vec![],
+                ctx: None,
+            },
+            Message::IngestAck { applied: true },
+        ]
+    }
+
+    fn unhex(header: &str, fields: &[&str]) -> Vec<u8> {
+        let hex: String = std::iter::once(header)
+            .chain(fields.iter().copied())
+            .collect();
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn ingest_frames_match_the_golden_v3_bytes() {
+        for (msg, (header, fields)) in golden_messages().iter().zip(GOLDEN_FRAMES) {
+            let golden = unhex(header, fields);
+            assert_eq!(msg.to_frame_bytes(), golden, "{msg:?}: Message encoder");
+            if let Message::IngestBatch {
+                client,
+                seq,
+                records,
+                ctx,
+            } = msg
+            {
+                assert_eq!(
+                    ingest_frame(*client, *seq, records, *ctx),
+                    golden,
+                    "{msg:?}: slice encoder"
+                );
+            }
+            let frame = decode_frame(&golden, MAX_FRAME_PAYLOAD).unwrap();
+            assert_eq!(&Message::decode(&frame).unwrap(), msg);
         }
     }
 

@@ -2,14 +2,17 @@
 //! refusals, dropped and corrupted frames, read stalls, and asymmetric
 //! partitions, driven through the client's retry policy. The invariant
 //! under test everywhere: a tagged ingest batch is applied **exactly
-//! once** no matter which fault interrupts which attempt.
+//! once** no matter which fault interrupts which attempt — through one
+//! client, and through a two-node cluster that writes every node's
+//! sub-batch before it reads any acknowledgement.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use etsc_early::{Decision, DecisionSession, EarlyClassifier, SessionNorm};
 use etsc_net::{
-    ClientConfig, Endpoint, Fault, FaultPlan, Listener, NetClient, Node, NodeConfig, Op,
-    RetryPolicy, WireError,
+    ClientConfig, Cluster, Endpoint, Fault, FaultPlan, Listener, NetClient, Node, NodeConfig, Op,
+    RetryPolicy, RetryStats, WireError,
 };
 use etsc_persist::{Decoder, Encoder, Persist, PersistError};
 use etsc_serve::{OverflowPolicy, Record, Runtime, RuntimeConfig};
@@ -173,6 +176,59 @@ fn with_node<R>(
         server.join().unwrap().unwrap();
         out
     })
+}
+
+/// Two nodes on loopback, serving until `body` returns.
+fn with_two_nodes<R>(body: impl FnOnce(&[Endpoint], [&Node<'_, PulseDetector>; 2]) -> R) -> R {
+    let clf = detector();
+    let nodes =
+        [0, 1].map(|_| Node::new(Runtime::new(&clf, config()).unwrap(), NodeConfig::default()));
+    let listeners =
+        [0, 1].map(|_| Listener::bind(&Endpoint::Tcp("127.0.0.1:0".to_string())).unwrap());
+    let endpoints: Vec<Endpoint> = listeners
+        .iter()
+        .map(|l| l.local_endpoint().unwrap())
+        .collect();
+    let [n0, n1] = &nodes;
+    std::thread::scope(|s| {
+        let [l0, l1] = listeners;
+        let servers = [s.spawn(|| n0.serve(l0)), s.spawn(|| n1.serve(l1))];
+        let guards = [StopGuard(n0), StopGuard(n1)];
+        let out = body(&endpoints, [n0, n1]);
+        drop(guards);
+        for server in servers {
+            server.join().unwrap().unwrap();
+        }
+        out
+    })
+}
+
+/// Three rounds over two streams per node of `cluster` (placement hangs
+/// on the ephemeral ports, so the streams are picked by route), and how
+/// many of the records each node owns.
+fn spread_batch(cluster: &Cluster) -> (Vec<Record>, [usize; 2]) {
+    const STREAMS: usize = 2;
+    const ROUNDS: usize = 3;
+    let mut picked: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+    for id in 0u64.. {
+        let node = cluster.router().route(id);
+        if picked[node].len() < STREAMS {
+            picked[node].push(id);
+        }
+        if picked.iter().all(|ids| ids.len() == STREAMS) {
+            break;
+        }
+    }
+    let ids = picked.concat();
+    let batch = (0..ROUNDS)
+        .flat_map(|_| ids.iter().map(|&id| Record::new(id, 1.0)))
+        .collect();
+    (batch, [STREAMS * ROUNDS; 2])
+}
+
+/// Records queued on `node` and batches it refused as duplicates.
+fn applied(node: &Node<'_, PulseDetector>) -> (usize, u64) {
+    node.with_runtime(|rt| (rt.queued(), rt.stats().duplicate_batches))
 }
 
 /// A client config tuned for fault tests: fast timeouts, fast backoff, a
@@ -386,4 +442,124 @@ fn scripted_plans_replay_identically_across_runs() {
         })
     };
     assert_eq!(run(), run());
+}
+
+#[test]
+fn cluster_ingest_writes_every_sub_batch_before_reading_any_ack() {
+    with_two_nodes(|eps, nodes| {
+        let mut cluster = Cluster::connect(eps).unwrap();
+        let (batch, per_node) = spread_batch(&cluster);
+        let overlapped = std::thread::scope(|s| {
+            // Declared inside the scope, so a panic drops the sender — and
+            // releases the hold — before the scope joins its threads.
+            let (release, released) = mpsc::channel::<()>();
+            let (held, holding) = mpsc::channel();
+            // Hold node 0's runtime: its sub-batch, written first, can be
+            // neither applied nor acknowledged until the hold is released.
+            let holder = s.spawn(move || {
+                nodes[0].with_runtime(|_| {
+                    held.send(()).unwrap();
+                    let _ = released.recv();
+                })
+            });
+            holding.recv().unwrap();
+            let ingest = s.spawn(|| cluster.ingest(&batch));
+            // Node 1's sub-batch must reach its queue while node 0's
+            // acknowledgement is still outstanding (bounded: ~5 s).
+            let overlapped = (0..5_000).any(|_| {
+                let done = applied(nodes[1]).0 == per_node[1];
+                if !done {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                done
+            });
+            drop(release);
+            holder.join().unwrap();
+            ingest.join().unwrap().unwrap();
+            overlapped
+        });
+        assert!(
+            overlapped,
+            "node 1's sub-batch waited for node 0's acknowledgement"
+        );
+        assert_eq!(applied(nodes[0]), (per_node[0], 0));
+        assert_eq!(applied(nodes[1]), (per_node[1], 0));
+    });
+}
+
+#[test]
+fn cluster_ingest_absorbs_one_shot_faults_on_the_first_written_node() {
+    // The clients share one injector, so every fault lands on node 0's
+    // exchange: the first frame written or the first reply read. A write
+    // fault costs node 0 one tagged retry, the short stall costs nothing,
+    // and node 1 never notices.
+    let retried = RetryStats {
+        retries: 1,
+        reconnects: 1,
+        ..RetryStats::default()
+    };
+    for (fault, node0_stats) in [
+        (Fault::DropWrite, retried),
+        (Fault::CorruptWrite, retried),
+        (Fault::StallReads(3), RetryStats::default()),
+    ] {
+        with_two_nodes(|eps, nodes| {
+            let inj = FaultPlan::new().build();
+            let mut cfg = resilient_cfg(31);
+            cfg.faults = Some(inj.clone());
+            let mut cluster = Cluster::connect_with(eps, cfg).unwrap();
+            let (batch, per_node) = spread_batch(&cluster);
+            inj.inject(fault);
+            cluster.ingest(&batch).unwrap();
+            assert_eq!(inj.injected(), 1, "{fault:?} fired");
+            assert_eq!(cluster.pending_batches(), 0, "{fault:?}");
+            assert_eq!(applied(nodes[0]), (per_node[0], 0), "{fault:?}");
+            assert_eq!(applied(nodes[1]), (per_node[1], 0), "{fault:?}");
+            assert_eq!(cluster.client(0).retry_stats(), node0_stats, "{fault:?}");
+            assert_eq!(
+                cluster.client(1).retry_stats(),
+                RetryStats::default(),
+                "{fault:?}"
+            );
+        });
+    }
+}
+
+#[test]
+fn cluster_ingest_under_inbound_partition_sends_each_node_max_attempts_copies() {
+    with_two_nodes(|eps, nodes| {
+        let inj = FaultPlan::new().build();
+        let mut cfg = resilient_cfg(41);
+        cfg.retry.max_attempts = 2;
+        cfg.faults = Some(inj.clone());
+        let mut cluster = Cluster::connect_with(eps, cfg).unwrap();
+        let (batch, per_node) = spread_batch(&cluster);
+
+        // Every sub-batch reaches its node, every acknowledgement is lost.
+        inj.inject(Fault::PartitionInbound);
+        assert_eq!(cluster.ingest(&batch), Err(WireError::TimedOut));
+        // Two attempts, so two copies per node — one applied, one
+        // deduplicated — then a giveup, and both sub-batches stashed.
+        let gave_up = RetryStats {
+            retries: 1,
+            reconnects: 2,
+            duplicate_acks: 0,
+            giveups: 1,
+        };
+        for node in 0..2 {
+            assert_eq!(applied(nodes[node]), (per_node[node], 1), "node {node}");
+            assert_eq!(cluster.client(node).retry_stats(), gave_up, "node {node}");
+        }
+        assert_eq!(cluster.pending_batches(), 2);
+
+        // Healed, the next call redelivers the stash under the same seqs:
+        // a third copy per node, recognized and acknowledged as such.
+        inj.heal();
+        cluster.ingest(&[]).unwrap();
+        assert_eq!(cluster.pending_batches(), 0);
+        for node in 0..2 {
+            assert_eq!(applied(nodes[node]), (per_node[node], 2), "node {node}");
+            assert_eq!(cluster.client(node).retry_stats().duplicate_acks, 1);
+        }
+    });
 }

@@ -28,7 +28,7 @@ use etsc::early::edsc::{Edsc, EdscConfig, ThresholdMethod};
 use etsc::early::relclass::{RelClass, RelClassConfig};
 use etsc::early::template::TemplateMatcher;
 use etsc::early::{checkpoint_session, resume_session, EarlyClassifier, SessionNorm};
-use etsc::persist::{inspect, ModelRegistry, Persist, FORMAT_VERSION};
+use etsc::persist::{envelope, inspect, ModelRegistry, Persist, PersistError, FORMAT_VERSION};
 use etsc::serve::{OverflowPolicy, Record, Runtime, RuntimeConfig, StreamAlarm, SERVE_STATE_KIND};
 use etsc::stream::{StreamMonitorConfig, StreamNorm};
 
@@ -290,6 +290,34 @@ fn golden_model_fixtures_decode_and_match_refits() {
             "template @ {t}"
         );
     }
+}
+
+/// Golden fixture `name` with the u64 at payload offset `offset` set to
+/// `value`, re-sealed so the envelope checksum still passes.
+fn forge_u64(name: &str, kind: &str, offset: usize, value: u64) -> Vec<u8> {
+    let bytes = read_fixture(name);
+    let payload_len = inspect(&bytes).unwrap().payload_len;
+    let end = bytes.len() - 8;
+    let mut payload = bytes[end - payload_len..end].to_vec();
+    payload[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+    envelope(kind, &payload)
+}
+
+#[test]
+fn forged_model_counts_are_typed_errors() {
+    // 2^30 templates or classes claimed by a payload of a few hundred
+    // bytes: restore must refuse the count before sizing anything by it,
+    // not abort on a 24 GiB allocation.
+    let template = forge_u64("template.etsc", TemplateMatcher::KIND, 16, 1 << 30);
+    assert!(matches!(
+        TemplateMatcher::restore(&template),
+        Err(PersistError::Corrupt(_))
+    ));
+    let centroid = forge_u64("nearest_centroid.etsc", NearestCentroid::KIND, 8, 1 << 30);
+    assert!(matches!(
+        NearestCentroid::restore(&centroid),
+        Err(PersistError::Corrupt(_))
+    ));
 }
 
 #[test]
