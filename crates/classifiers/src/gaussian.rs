@@ -353,6 +353,8 @@ impl Persist for GaussianModel {
                 "gaussian: empty model (no classes or zero length)".into(),
             ));
         }
+        // Each class is a section: at least its 8-byte length.
+        dec.check_claim(n, 8, "gaussian classes")?;
         let mut classes = Vec::with_capacity(n);
         for c in 0..n {
             let mut sub = dec.section("gaussian class")?;

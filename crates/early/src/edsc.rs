@@ -386,6 +386,8 @@ impl Persist for Edsc {
         let series_len = dec.get_usize("edsc series_len")?;
         let min_prefix = dec.get_usize("edsc min_prefix")?.max(1);
         let n = dec.get_usize("edsc feature count")?;
+        // Each feature is a section: at least its 8-byte length.
+        dec.check_claim(n, 8, "edsc features")?;
         let mut features = Vec::with_capacity(n);
         for i in 0..n {
             let mut sub = dec.section("edsc feature")?;

@@ -170,14 +170,14 @@ pub(crate) fn expect_norm(
 /// sessions write a schema tag, so resuming against the wrong algorithm or
 /// norm fails with [`PersistError::Corrupt`] rather than misdecoding.
 ///
+/// The state is written in place, inside the envelope
+/// ([`Encoder::try_envelope`]).
+///
 /// [`Persist`]: etsc_persist::Persist
 pub fn checkpoint_session(session: &dyn DecisionSession) -> Result<Vec<u8>, PersistError> {
     let mut enc = Encoder::new();
-    session.save_state(&mut enc)?;
-    Ok(etsc_persist::envelope(
-        SESSION_STATE_KIND,
-        &enc.into_bytes(),
-    ))
+    enc.try_envelope(SESSION_STATE_KIND, |e| session.save_state(e))?;
+    Ok(enc.into_bytes())
 }
 
 /// Rehydrate a session from [`checkpoint_session`] bytes against `clf`

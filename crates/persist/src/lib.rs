@@ -49,7 +49,13 @@
 //! * strings and slices are length-prefixed;
 //! * composite records are wrapped in length-prefixed **sections**
 //!   ([`Encoder::section`] / [`Decoder::section`]), so readers can validate
-//!   that a record consumed exactly its declared bytes.
+//!   that a record consumed exactly its declared bytes;
+//! * a snapshot nested in another's payload is a length-prefixed envelope
+//!   that keeps its own checksum ([`Encoder::try_nested_envelope`]).
+//!
+//! Sections and envelopes are written in place: a reserved length is
+//! patched once the body is written, so a snapshot of any depth is encoded
+//! into one buffer, each byte written once.
 //!
 //! Format evolution policy: the golden fixtures under
 //! `tests/fixtures/persist/` pin the current layout. Any layout change must
@@ -74,6 +80,7 @@
 //! directory holds (name, kind, format version, size), and load them back
 //! in a new process.
 
+use std::convert::Infallible;
 use std::fmt;
 
 use etsc_core::UcrDataset;
@@ -174,6 +181,13 @@ impl Encoder {
         Self::default()
     }
 
+    /// An empty encoder with room for `capacity` bytes before it grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The bytes written so far.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -260,8 +274,10 @@ impl Encoder {
     }
 
     /// Write a length-prefixed opaque byte blob — the carrier for nested
-    /// pre-encoded snapshots (e.g. a serving runtime embedding each
-    /// stream's monitor-anchor envelope inside its own checkpoint).
+    /// pre-encoded snapshots (e.g. the anchor envelopes a migration ships
+    /// between nodes). A snapshot written for the purpose is better nested
+    /// in place with [`try_nested_envelope`](Self::try_nested_envelope),
+    /// which writes the same bytes without a buffer of its own.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
@@ -283,27 +299,119 @@ impl Encoder {
         }
     }
 
-    /// Write a length-prefixed **section**: run `f` on a fresh encoder and
-    /// embed its bytes behind a `u64` length. Readers consume sections with
-    /// [`Decoder::section`], which enforces that the record decodes to
-    /// exactly its declared extent.
+    /// Write a length-prefixed **section**: a `u64` length, then the bytes
+    /// `f` writes. Readers consume sections with [`Decoder::section`], which
+    /// enforces that the record decodes to exactly its declared extent.
+    ///
+    /// The section is written in place: `f` runs on this encoder behind a
+    /// reserved length, which is patched once `f` returns, so the body is
+    /// never copied.
     pub fn section<F: FnOnce(&mut Encoder)>(&mut self, f: F) {
-        let mut inner = Encoder::new();
-        f(&mut inner);
-        self.put_usize(inner.buf.len());
-        self.buf.extend_from_slice(&inner.buf);
+        let Ok(()) = self.section_with(|e| {
+            f(e);
+            Ok::<(), Infallible>(())
+        });
     }
 
     /// Fallible twin of [`Encoder::section`] for bodies that can refuse
-    /// (session `save_state` implementations).
+    /// (session `save_state` implementations), written in place the same
+    /// way. If `f` fails, the encoder is truncated back to where the
+    /// section began: a failed section writes nothing, neither its length
+    /// nor whatever `f` wrote before it failed.
     pub fn try_section<F>(&mut self, f: F) -> Result<(), PersistError>
     where
         F: FnOnce(&mut Encoder) -> Result<(), PersistError>,
     {
-        let mut inner = Encoder::new();
-        f(&mut inner)?;
-        self.put_usize(inner.buf.len());
-        self.buf.extend_from_slice(&inner.buf);
+        self.section_with(f)
+    }
+
+    /// Write a complete envelope (see the crate docs for its layout) whose
+    /// payload is what `body` writes.
+    ///
+    /// This is the one envelope writer: the header goes first, with a
+    /// placeholder payload length; `body` writes the payload in place; then
+    /// sealing patches the length and appends FNV-1a over every byte of
+    /// the envelope. The result is the bytes [`envelope`](fn@envelope)
+    /// returns for the same kind and payload, without a payload buffer of
+    /// its own.
+    pub fn envelope<F: FnOnce(&mut Encoder)>(&mut self, kind: &str, body: F) {
+        let Ok(()) = self.envelope_with(kind, |e| {
+            body(e);
+            Ok::<(), Infallible>(())
+        });
+    }
+
+    /// Fallible twin of [`Encoder::envelope`]. If `body` fails, the encoder
+    /// is truncated back to where the envelope began, so it holds exactly
+    /// the bytes it held before the call.
+    pub fn try_envelope<F>(&mut self, kind: &str, body: F) -> Result<(), PersistError>
+    where
+        F: FnOnce(&mut Encoder) -> Result<(), PersistError>,
+    {
+        self.envelope_with(kind, body)
+    }
+
+    /// Nest an envelope inside this encoder's payload: writes exactly the
+    /// bytes `put_bytes(&envelope(kind, payload))` writes for the payload
+    /// `body` produces, but in place — the nested envelope is a section
+    /// holding a [`try_envelope`](Self::try_envelope). It keeps its own
+    /// checksum. A failing `body` leaves nothing behind.
+    pub fn try_nested_envelope<F>(&mut self, kind: &str, body: F) -> Result<(), PersistError>
+    where
+        F: FnOnce(&mut Encoder) -> Result<(), PersistError>,
+    {
+        self.section_with(|e| e.envelope_with(kind, body))
+    }
+
+    /// Reserve a `u64` length at the end of the buffer; returns its offset
+    /// for [`patch_len`](Self::patch_len).
+    fn reserve_len(&mut self) -> usize {
+        let at = self.buf.len();
+        self.put_u64(0);
+        at
+    }
+
+    /// Fill the length reserved at `at` with the number of bytes written
+    /// after it.
+    fn patch_len(&mut self, at: usize) {
+        let end = at.saturating_add(8);
+        let len = u64::try_from(self.buf.len().saturating_sub(end)).unwrap_or(u64::MAX);
+        if let Some(slot) = self.buf.get_mut(at..end) {
+            slot.copy_from_slice(&len.to_le_bytes());
+        }
+    }
+
+    /// The body of [`section`](Self::section) and
+    /// [`try_section`](Self::try_section).
+    fn section_with<E>(&mut self, f: impl FnOnce(&mut Encoder) -> Result<(), E>) -> Result<(), E> {
+        let start = self.reserve_len();
+        if let Err(e) = f(self) {
+            self.buf.truncate(start);
+            return Err(e);
+        }
+        self.patch_len(start);
+        Ok(())
+    }
+
+    /// The envelope writer behind [`envelope`](Self::envelope),
+    /// [`try_envelope`](Self::try_envelope) and [`envelope`](fn@envelope).
+    fn envelope_with<E>(
+        &mut self,
+        kind: &str,
+        body: impl FnOnce(&mut Encoder) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&MAGIC);
+        self.put_u16(FORMAT_VERSION);
+        self.put_str(kind);
+        let payload_len = self.reserve_len();
+        if let Err(e) = body(self) {
+            self.buf.truncate(start);
+            return Err(e);
+        }
+        self.patch_len(payload_len);
+        let checksum = fnv1a(self.buf.get(start..).unwrap_or_default());
+        self.put_u64(checksum);
         Ok(())
     }
 }
@@ -509,16 +617,19 @@ pub struct EnvelopeInfo {
     pub payload_len: usize,
 }
 
-/// Wrap pre-encoded body bytes in a versioned, checksummed envelope.
+/// Bytes an envelope adds around its kind tag and payload: magic, version,
+/// the kind's length prefix, the payload length and the checksum.
+const ENVELOPE_FRAMING: usize = 4 + 2 + 4 + 8 + 8;
+
+/// Wrap pre-encoded body bytes in a versioned, checksummed envelope,
+/// through [`Encoder::envelope`] into a buffer sized for it exactly.
 pub fn envelope(kind: &str, payload: &[u8]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.buf.extend_from_slice(&MAGIC);
-    enc.put_u16(FORMAT_VERSION);
-    enc.put_str(kind);
-    enc.put_usize(payload.len());
-    enc.buf.extend_from_slice(payload);
-    let checksum = fnv1a(&enc.buf);
-    enc.put_u64(checksum);
+    let mut enc = Encoder::with_capacity(
+        ENVELOPE_FRAMING
+            .saturating_add(kind.len())
+            .saturating_add(payload.len()),
+    );
+    enc.envelope(kind, |e| e.buf.extend_from_slice(payload));
     enc.into_bytes()
 }
 
@@ -607,11 +718,12 @@ pub trait Persist: Sized {
     /// validating every invariant the type relies on.
     fn decode_body(dec: &mut Decoder<'_>) -> Result<Self, PersistError>;
 
-    /// Serialize into a self-describing, checksummed byte vector.
+    /// Serialize into a self-describing, checksummed byte vector; the body
+    /// is encoded in place, inside the envelope ([`Encoder::envelope`]).
     fn snapshot(&self) -> Vec<u8> {
         let mut enc = Encoder::new();
-        self.encode_body(&mut enc);
-        envelope(Self::KIND, &enc.into_bytes())
+        enc.envelope(Self::KIND, |e| self.encode_body(e));
+        enc.into_bytes()
     }
 
     /// Reconstruct from bytes produced by [`Persist::snapshot`].
@@ -770,6 +882,67 @@ mod tests {
         sub.finish().unwrap();
         assert_eq!(dec.get_u8("tail").unwrap(), 9);
         dec.finish().unwrap();
+
+        // Nested sections: each length counts exactly the bytes after it.
+        let mut enc = Encoder::new();
+        enc.section(|e| {
+            e.put_u8(1);
+            e.section(|e| e.put_u32(0xAABB_CCDD));
+        });
+        let mut expected = Encoder::new();
+        expected.put_u64(1 + 8 + 4);
+        expected.put_u8(1);
+        expected.put_u64(4);
+        expected.put_u32(0xAABB_CCDD);
+        assert_eq!(enc.into_bytes(), expected.into_bytes());
+
+        // An empty section is its zero length alone.
+        let mut enc = Encoder::new();
+        enc.put_u8(7);
+        enc.section(|_| {});
+        assert_eq!(enc.into_bytes(), [7, 0, 0, 0, 0, 0, 0, 0, 0]);
+
+        // A try_section whose body writes, then fails, leaves the encoder
+        // byte-identical to what it was before the call; a later section
+        // lands where the failed one would have.
+        let mut enc = Encoder::new();
+        enc.put_u16(0x0102);
+        enc.section(|e| e.put_u8(3));
+        let before = enc.buf.clone();
+        let err = enc.try_section(|e| {
+            e.put_u64(u64::MAX);
+            e.section(|e| e.put_u8(4));
+            Err(PersistError::Unsupported("test body"))
+        });
+        assert_eq!(err, Err(PersistError::Unsupported("test body")));
+        assert_eq!(enc.buf, before);
+        enc.try_section(|e| {
+            e.put_u8(5);
+            Ok(())
+        })
+        .unwrap();
+        let mut expected = Encoder::new();
+        expected.put_u16(0x0102);
+        expected.put_u64(1);
+        expected.put_u8(3);
+        expected.put_u64(1);
+        expected.put_u8(5);
+        assert_eq!(enc.into_bytes(), expected.into_bytes());
+    }
+
+    /// The envelope layout of the crate docs, built from the primitives and
+    /// the checksum function alone.
+    fn sealed_by_hand(kind: &str, payload: &[u8]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.buf.extend_from_slice(b"ETSC");
+        enc.put_u16(1);
+        enc.put_u32(u32::try_from(kind.len()).unwrap());
+        enc.buf.extend_from_slice(kind.as_bytes());
+        enc.put_u64(u64::try_from(payload.len()).unwrap());
+        enc.buf.extend_from_slice(payload);
+        let checksum = etsc_core::hash::fnv1a_64(&enc.buf);
+        enc.put_u64(checksum);
+        enc.into_bytes()
     }
 
     #[test]
@@ -801,6 +974,56 @@ mod tests {
         assert_eq!(inspect(&bad), Err(PersistError::BadMagic));
         // Truncation.
         assert!(inspect(&bytes[..bytes.len() - 3]).is_err());
+
+        // The writer's bytes are the documented layout, for an empty
+        // payload too, whichever way the payload arrives.
+        for payload in [&[1u8, 2, 3][..], &[]] {
+            let expected = sealed_by_hand("Thing", payload);
+            assert_eq!(envelope("Thing", payload), expected);
+            let mut enc = Encoder::new();
+            enc.envelope("Thing", |e| e.buf.extend_from_slice(payload));
+            assert_eq!(enc.into_bytes(), expected);
+        }
+
+        // The nested form writes exactly put_bytes(&envelope(..)), behind
+        // whatever the outer encoder already holds, and keeps its own
+        // checksum.
+        let mut enc = Encoder::new();
+        enc.put_u8(9);
+        enc.try_nested_envelope("Inner", |e| {
+            e.put_u16(0xBEEF);
+            e.section(|e| e.put_u8(6));
+            Ok(())
+        })
+        .unwrap();
+        let mut payload = Encoder::new();
+        payload.put_u16(0xBEEF);
+        payload.put_u64(1);
+        payload.put_u8(6);
+        let inner = sealed_by_hand("Inner", &payload.into_bytes());
+        let mut expected = Encoder::new();
+        expected.put_u8(9);
+        expected.put_bytes(&inner);
+        assert_eq!(enc.into_bytes(), expected.into_bytes());
+        inspect(&inner).unwrap();
+
+        // A nested envelope whose body fails leaves nothing behind, inside
+        // an outer envelope as well.
+        let mut enc = Encoder::new();
+        enc.put_u8(9);
+        let before = enc.buf.clone();
+        let err = enc.try_nested_envelope("Inner", |e| {
+            e.put_u64(42);
+            Err(PersistError::Unsupported("test body"))
+        });
+        assert_eq!(err, Err(PersistError::Unsupported("test body")));
+        assert_eq!(enc.buf, before);
+        let err = enc.try_envelope("Outer", |e| {
+            e.put_u8(1);
+            e.try_nested_envelope("Inner", |_| Err(PersistError::Unsupported("test body")))
+        });
+        assert_eq!(err, Err(PersistError::Unsupported("test body")));
+        assert_eq!(enc.buf, before);
     }
 
     #[test]

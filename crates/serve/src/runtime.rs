@@ -906,6 +906,15 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// [`drain`](Self::drain): delivery is at-least-once across a
     /// checkpoint/recover cycle, never lossy.
     ///
+    /// The envelope is written in one buffer, pre-sized from the last
+    /// checkpoint's size: each stream's anchor envelope, and every session
+    /// section inside it, is encoded in place where it ends up
+    /// ([`StreamMonitor::snapshot_anchors_into`]), the outer envelope is
+    /// sealed once, and those bytes go to the registry as they are. A
+    /// stream whose session cannot checkpoint fails the call with nothing
+    /// written: the registry keeps the previous checkpoint, and the
+    /// checkpoint counter does not move.
+    ///
     /// Returns the checkpoint envelope size in bytes.
     pub fn checkpoint_state(&mut self, registry: &ModelRegistry) -> Result<usize, ServeError> {
         self.flush_all();
@@ -921,7 +930,44 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                 0,
             );
         }
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::with_capacity(self.last_checkpoint_bytes);
+        enc.try_envelope(SERVE_STATE_KIND, |e| self.encode_state(e))?;
+        let bytes = enc.into_bytes();
+        registry.save_bytes(&state_entry_name(&self.cfg.model_name), &bytes)?;
+        self.checkpoints += 1;
+        self.last_checkpoint_bytes = bytes.len();
+        self.metrics.checkpoint_bytes.record(bytes.len() as u64);
+        if let Some(t) = &tracer {
+            t.event(
+                Severity::Info,
+                EventKind::CheckpointEnd,
+                bytes.len() as u64,
+                0,
+            );
+            if let Some(ctx) = self.last_ctx {
+                t.span(
+                    SpanKind::Checkpoint,
+                    ctx.trace_id,
+                    ctx.parent_span,
+                    trace_start,
+                    bytes.len() as u64,
+                );
+            }
+        }
+        if timing {
+            self.metrics
+                .checkpoint_pause_ns
+                .record(self.clock.now_ns().saturating_sub(started));
+        }
+        Ok(bytes.len())
+    }
+
+    /// The checkpoint payload that
+    /// [`checkpoint_state`](Self::checkpoint_state) seals: configuration,
+    /// counters, undelivered alarms, every stream's anchors (each its own
+    /// checksummed [`StreamMonitor::snapshot_anchors`] envelope, written in
+    /// place) and the retry-dedup cursors.
+    fn encode_state(&self, enc: &mut Encoder) -> Result<(), PersistError> {
         enc.put_usize(self.shards.len());
         enc.put_usize(self.cfg.queue_capacity);
         enc.put_u8(match self.cfg.overflow {
@@ -950,14 +996,14 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         for a in &self.pending {
             enc.put_u64(a.stream);
             enc.put_u64(a.seq);
-            a.alarm.encode(&mut enc);
+            a.alarm.encode(enc);
         }
         enc.put_usize(self.stream_count());
         for shard in &self.shards {
             for (id, monitor) in shard.sorted() {
                 enc.put_u64(id);
                 enc.put_str(&self.cfg.model_name);
-                enc.put_bytes(&monitor.snapshot_anchors()?);
+                monitor.snapshot_anchors_into(enc)?;
             }
         }
         // Trailing section (readers treat it as optional for checkpoints
@@ -969,34 +1015,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
             enc.put_u64(client);
             enc.put_u64(seq);
         }
-        let bytes = etsc_persist::envelope(SERVE_STATE_KIND, &enc.into_bytes());
-        registry.save_bytes(&state_entry_name(&self.cfg.model_name), &bytes)?;
-        self.checkpoints += 1;
-        self.last_checkpoint_bytes = bytes.len();
-        self.metrics.checkpoint_bytes.record(bytes.len() as u64);
-        if let Some(t) = &tracer {
-            t.event(
-                Severity::Info,
-                EventKind::CheckpointEnd,
-                bytes.len() as u64,
-                0,
-            );
-            if let Some(ctx) = self.last_ctx {
-                t.span(
-                    SpanKind::Checkpoint,
-                    ctx.trace_id,
-                    ctx.parent_span,
-                    trace_start,
-                    bytes.len() as u64,
-                );
-            }
-        }
-        if timing {
-            self.metrics
-                .checkpoint_pause_ns
-                .record(self.clock.now_ns().saturating_sub(started));
-        }
-        Ok(bytes.len())
+        Ok(())
     }
 
     /// Stop periodic checkpointing (see
@@ -1335,6 +1354,45 @@ mod tests {
 
     fn detector() -> PulseDetector {
         PulseDetector { need: 4, len: 24 }
+    }
+
+    /// [`PulseDetector`] whose sessions keep the default `save_state`
+    /// (`Unsupported`): a stream with a live anchor cannot checkpoint.
+    struct Unsaveable(PulseDetector);
+
+    struct UnsaveableSession<'a>(Box<dyn DecisionSession + 'a>);
+
+    impl DecisionSession for UnsaveableSession<'_> {
+        fn push(&mut self, x: f64) -> Decision {
+            self.0.push(x)
+        }
+        fn decision(&self) -> Decision {
+            self.0.decision()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn reset(&mut self) {
+            self.0.reset();
+        }
+    }
+
+    impl EarlyClassifier for Unsaveable {
+        fn n_classes(&self) -> usize {
+            self.0.n_classes()
+        }
+        fn series_len(&self) -> usize {
+            self.0.series_len()
+        }
+        fn min_prefix(&self) -> usize {
+            self.0.min_prefix()
+        }
+        fn session(&self, norm: SessionNorm) -> Box<dyn DecisionSession + '_> {
+            Box::new(UnsaveableSession(self.0.session(norm)))
+        }
+        fn predict_full(&self, s: &[f64]) -> ClassLabel {
+            self.0.predict_full(s)
+        }
     }
 
     fn config(shards: usize) -> RuntimeConfig {
@@ -1995,6 +2053,58 @@ mod tests {
         rt.ingest(&batch[..2]).unwrap();
         assert_eq!(rt.stats().ingested, 14);
         let _ = std::fs::remove_file(&root);
+    }
+
+    /// The checkpoint envelope is written in place, so a stream that
+    /// cannot checkpoint fails the call midway through the buffer: nothing
+    /// may reach the registry, no counter may move, and the runtime must
+    /// serve on exactly as if it had never tried.
+    #[test]
+    fn failing_checkpoint_writes_nothing_and_changes_nothing() {
+        let root = tmp_root("unsaveable");
+        let clf = Unsaveable(detector());
+        let registry = ModelRegistry::open(&root).unwrap();
+        let batches = traffic(&IDS, 90);
+        let (head, tail) = batches.split_at(40);
+        let mut rt = Runtime::new(&clf, config(2)).unwrap();
+        let mut twin = Runtime::new(&clf, config(2)).unwrap();
+        for &id in &IDS {
+            assert!(rt.open_stream(id));
+            assert!(twin.open_stream(id));
+        }
+        // No anchor is live yet, so there is no session to save.
+        let written = rt.checkpoint_state(&registry).unwrap();
+        let saved = registry.load_bytes("pulse.serve").unwrap();
+        assert_eq!(saved.len(), written);
+        for b in head {
+            rt.ingest(b).unwrap();
+            twin.ingest(b).unwrap();
+        }
+        assert!(matches!(
+            rt.checkpoint_state(&registry),
+            Err(ServeError::Persist(PersistError::Unsupported(_)))
+        ));
+        assert!(
+            registry.load_bytes("pulse.serve").unwrap() == saved,
+            "a failed checkpoint must leave the previous one in place"
+        );
+        let files: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["pulse.serve.etsc"], "no temp file is left behind");
+        let stats = rt.stats();
+        assert_eq!(stats.checkpoints, 1);
+        assert_eq!(stats.last_checkpoint_bytes, written);
+        for b in tail {
+            rt.ingest(b).unwrap();
+            twin.ingest(b).unwrap();
+        }
+        let (alarms, expected) = (rt.drain(), twin.drain());
+        assert!(!expected.is_empty());
+        assert_eq!(alarms, expected);
+        assert_eq!(rt.stats().pushes, twin.stats().pushes);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -294,8 +294,27 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
     /// which. Retired lanes' storage does not travel (it holds no
     /// observable state);
     /// errors if any live session's type does not support checkpointing.
+    ///
+    /// The envelope is written by [`Encoder::try_envelope`], each anchor's
+    /// session state in place as a section of it.
     pub fn snapshot_anchors(&self) -> Result<Vec<u8>, PersistError> {
         let mut enc = Encoder::new();
+        enc.try_envelope(MONITOR_STATE_KIND, |e| self.encode_anchors(e))?;
+        Ok(enc.into_bytes())
+    }
+
+    /// In-place [`snapshot_anchors`](Self::snapshot_anchors): append to
+    /// `enc` exactly the bytes `enc.put_bytes(&self.snapshot_anchors()?)`
+    /// would, without building the envelope in a buffer of its own
+    /// ([`Encoder::try_nested_envelope`]). This is how a serving runtime
+    /// embeds every stream's anchors in its checkpoint. On error `enc` is
+    /// left as it was.
+    pub fn snapshot_anchors_into(&self, enc: &mut Encoder) -> Result<(), PersistError> {
+        enc.try_nested_envelope(MONITOR_STATE_KIND, |e| self.encode_anchors(e))
+    }
+
+    /// The payload both snapshot forms share.
+    fn encode_anchors(&self, enc: &mut Encoder) -> Result<(), PersistError> {
         enc.put_usize(self.cfg.anchor_stride);
         enc.put_u8(match self.cfg.norm {
             StreamNorm::Raw => 0,
@@ -309,10 +328,7 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
             enc.put_usize(*anchor);
             enc.try_section(|e| self.lanes.save_lane(lane, e))?;
         }
-        Ok(etsc_persist::envelope(
-            MONITOR_STATE_KIND,
-            &enc.into_bytes(),
-        ))
+        Ok(())
     }
 
     /// Rehydrate anchors from [`snapshot_anchors`](Self::snapshot_anchors)

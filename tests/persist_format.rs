@@ -318,6 +318,25 @@ fn forged_model_counts_are_typed_errors() {
         NearestCentroid::restore(&centroid),
         Err(PersistError::Corrupt(_))
     ));
+    // The Gaussian class count sits behind the covariance tag and
+    // `series_len`; RelClass reaches the same decoder through its model
+    // section (an 8-byte length first). EDSC's feature count follows three
+    // `usize` fields.
+    let gaussian = forge_u64("gaussian_full.etsc", GaussianModel::KIND, 9, 1 << 30);
+    assert!(matches!(
+        GaussianModel::restore(&gaussian),
+        Err(PersistError::Corrupt(_))
+    ));
+    let relclass = forge_u64("relclass_diag.etsc", RelClass::KIND, 17, 1 << 30);
+    assert!(matches!(
+        RelClass::restore(&relclass),
+        Err(PersistError::Corrupt(_))
+    ));
+    let edsc = forge_u64("edsc_che.etsc", Edsc::KIND, 24, 1 << 30);
+    assert!(matches!(
+        Edsc::restore(&edsc),
+        Err(PersistError::Corrupt(_))
+    ));
 }
 
 #[test]
