@@ -173,26 +173,130 @@ fn logit(beta: f64, d: f64, min: f64) -> f64 {
     -beta * (d - min)
 }
 
-/// [`NearestCentroid::distance_logit_gap`] at temperature `beta`. It draws
-/// every distance from `dists` whatever the distances and `beta`, so an
-/// iterator that computes and stores distances leaves all of them stored.
+/// [`NearestCentroid::distance_logit_gap`] at temperature `beta`.
 fn distance_logit_gap(beta: f64, dists: impl Iterator<Item = f64>) -> Option<f64> {
-    let mut d1 = f64::INFINITY;
-    let mut d2 = f64::INFINITY;
+    let [d1, d2] = two_smallest(dists)?;
+    let ranked = beta > 0.0 && beta.is_finite();
+    ranked.then(|| -logit(beta, d2, d1))
+}
+
+/// The two smallest of `xs` in order, or `None` if there are fewer than two
+/// or any value is not finite.
+fn two_smallest(xs: impl Iterator<Item = f64>) -> Option<[f64; 2]> {
+    let mut pair = [f64::INFINITY; 2];
     let mut k = 0usize;
     let mut finite = true;
-    for d in dists {
-        finite &= d.is_finite();
-        if d < d1 {
-            d2 = d1;
-            d1 = d;
-        } else if d < d2 {
-            d2 = d;
+    for x in xs {
+        finite &= x.is_finite();
+        if x < pair[0] {
+            pair = [x, pair[0]];
+        } else if x < pair[1] {
+            pair[1] = x;
         }
         k += 1;
     }
-    let ranked = beta > 0.0 && beta.is_finite();
-    (ranked && finite && k >= 2).then(|| -logit(beta, d2, d1))
+    (finite && k >= 2).then_some(pair)
+}
+
+/// The relative margin δ of [`PreGate`]: `2⁻²⁰`.
+const PREGATE_DELTA: f64 = 1.0 / (1u64 << 20) as f64;
+/// `(1 − δ)²`, exact in binary (41 significant bits).
+const PREGATE_KEEP: f64 = (1.0 - PREGATE_DELTA) * (1.0 - PREGATE_DELTA);
+/// The cap on `a + b`, in units of `(G·r̂/β)²`: `2⁵⁶`.
+const PREGATE_CAP: f64 = (1u64 << 56) as f64;
+/// The range of `(G/β)²` the pre-gate works in: `[2⁻¹⁰⁰, 2¹⁰⁰]`.
+const PREGATE_RANGE: (f64, f64) = (1.0 / (1u128 << 100) as f64, (1u128 << 100) as f64);
+
+/// The lane pre-gate: rules a lane out of committing from its two smallest
+/// *squared* distances `a ≥ b` (the values [`raw_distance`] takes the root
+/// of), before any root or division — the lower-bound-first idea of the UCR
+/// Suite (Rakthanmanon et al., KDD 2012).
+///
+/// With `r̂ = √nf` the table root the distances are divided by, the gap
+/// [`distance_logit_gap`] computes is, in exact arithmetic,
+/// `ĝ = β(√a − √b)/r̂ = β(a − b)/(r̂(√a + √b))`, and since
+/// `(√a + √b)² = a + b + 2√(ab) ≥ a + 3b`, a lane with
+///
+/// ```text
+/// (a − b)² < w·nf·(a + 3b)   and   a + b ≤ C·w·nf,   w = (1 − δ)²·(G/β)²
+/// ```
+///
+/// has `ĝ < (1 − δ)·G`. The bound is tight at `b = 0` and `b = a` and
+/// loosest at `b = a/9`, so every gap below `√¾·(1 − δ)·G ≈ 0.87·G` is
+/// ruled out; the rest take the exact path.
+///
+/// **Rounding.** `u = 2⁻⁵³`, `δ = 2⁻²⁰`, `C = 2⁵⁶`. The test runs only
+/// for `β > 0`, `G` positive and normal and `(G/β)²` in `[2⁻¹⁰⁰, 2¹⁰⁰]`;
+/// anything else gets a NaN scale, which rules nothing out. In that range
+/// no product overflows once the cap holds, the cap fails for NaN, ±∞ and
+/// huge values, and negative values are refused outright (their root is
+/// NaN, which has no gap).
+///
+/// 1. *The test is computed.* Each operation adds a relative error of at
+///    most `u`; `a − b`, `a + b` and `2(a + b) − |a − b|` are exact when
+///    they underflow, and `|a − b|²`'s underflow is below `u` of a normal
+///    right-hand side. So a computed pass gives
+///    `(a − b)² < (1 − δ)²(G/β)²·nf·(a + 3b)·(1 + u)¹⁷`, and with
+///    `nf ≤ r̂²(1 + u)⁴`, `ĝ < (1 − δ)(1 + u)¹¹·G`. A right-hand side that
+///    underflows needs `a + 3b < 2⁻⁹²¹`: then `√a/r̂ < 2⁻⁴⁶⁰` and
+///    `β ≤ 2⁵¹·G`, so the computed gap is below `2⁻⁴⁰⁸·G` plus half a
+///    subnormal, far below `G`.
+/// 2. *The gap is computed.* `fl(fl(√a)/r̂)` is within `(1 ± u)²` of
+///    `√a/r̂` (it cannot underflow), so the computed gap is at most
+///    `(1 + u)²·(ĝ + 3u·β(√a + √b)/r̂)` plus half a subnormal. The second
+///    term is absolute — the difference of two rounded roots — which is
+///    why `a + b` is capped: `√a + √b ≤ √(2(a + b)) ≤ √(2C)·(G/β)·r̂·(1 + u)⁶`
+///    bounds it by `3√(2C)·u·G·(1 + u)⁶ ≈ 0.133·δ·G`.
+/// 3. Together the computed gap is below
+///    `G·(1 − δ + 0.133·δ + 2⁻⁴⁹) < G·(1 − 0.86·δ)`, which is below `G` by
+///    far more than half a subnormal, since `G` is normal. The exact path
+///    would rule the lane out too.
+///
+/// The lane passes the pair from [`smallest_pair`]. Monotone rounding keeps
+/// the two smallest squared distances the two smallest distances.
+#[derive(Debug, Clone, Copy)]
+struct PreGate {
+    /// `w = (1 − δ)²·(G/β)²`, or NaN.
+    w: f64,
+}
+
+impl PreGate {
+    /// The pre-gate for temperature `beta` at commit gap `min_gap` (`G`).
+    fn new(beta: f64, min_gap: f64) -> Self {
+        let ratio = min_gap / beta;
+        let scale = ratio * ratio;
+        let (lo, hi) = PREGATE_RANGE;
+        let usable = beta > 0.0 && min_gap > 0.0 && min_gap.is_normal();
+        Self {
+            w: if usable && (lo..=hi).contains(&scale) {
+                scale * PREGATE_KEEP
+            } else {
+                f64::NAN
+            },
+        }
+    }
+
+    /// True if a lane with the two squared distances `[p, q]` (either
+    /// order) after `nf` samples, `nf ≥ 1`, cannot reach the gap `G`.
+    fn rules_out(self, [p, q]: [f64; 2], nf: f64) -> bool {
+        let k2 = self.w * nf;
+        let sum = p + q;
+        let spread = (p - q).abs();
+        // a + 3b = 2(a + b) − (a − b).
+        let t = (sum + sum) - spread;
+        (p >= 0.0) & (q >= 0.0) & (sum <= PREGATE_CAP * k2) & (spread * spread < k2 * t)
+    }
+}
+
+/// The two smallest of the squared distances `sq`, for [`PreGate`]: the
+/// pair itself for two classes, otherwise [`two_smallest`]'s, or NaNs where
+/// that has none (a lone class, a non-finite value). The pre-gate rules no
+/// NaN out, and the exact gap is `None` there too.
+fn smallest_pair(sq: &[f64]) -> [f64; 2] {
+    if let [p, q] = *sq {
+        return [p, q];
+    }
+    two_smallest(sq.iter().copied()).unwrap_or([f64::NAN; 2])
 }
 
 /// Incremental per-sample scorer for [`NearestCentroid`]: maintains the
@@ -392,19 +496,26 @@ impl ZnormTerms {
         }
     }
 
-    /// Length-normalized distance to the class with running `Σx·c`, `Σc`
-    /// and `Σc²` (the dot identity in the type docs).
-    fn distance(&self, sxc: f64, sc: f64, scc: f64) -> f64 {
+    /// Squared distance to the class with running `Σx·c`, `Σc` and `Σc²`
+    /// (the dot identity in the type docs), floored at zero: the value
+    /// [`distance`](Self::distance) takes the root of.
+    fn squared(&self, sxc: f64, sc: f64, scc: f64) -> f64 {
         let Self {
             u,
             v,
             nf,
-            root_n,
             s1_cap,
             s2_cap,
+            ..
         } = *self;
         let d2 = u * u * s2_cap - 2.0 * u * (v * s1_cap + sxc) + (nf * v * v + 2.0 * v * sc + scc);
-        d2.max(0.0).sqrt() / root_n
+        d2.max(0.0)
+    }
+
+    /// Length-normalized distance to the class with running `Σx·c`, `Σc`
+    /// and `Σc²`.
+    fn distance(&self, sxc: f64, sc: f64, scc: f64) -> f64 {
+        raw_distance(self.squared(sxc, sc, scc), self.root_n)
     }
 }
 
@@ -555,16 +666,19 @@ const ZNORM_HEAD: usize = 4;
 ///
 /// A push is one loop over the lanes, with no dynamic dispatch: each lane
 /// accumulates the sample and, once old enough to score, computes its
-/// distances once; they feed the logit gap and, for the few lanes the gate
-/// cannot rule out, the softmax. Every value is the one the lane's session
-/// computes, through the same helpers.
+/// squared distances once. The [`PreGate`] rules most lanes out from those
+/// alone; the rest take their roots and feed the logit gap and, for the few
+/// lanes the gap cannot rule out, the softmax. Every distance, gap and
+/// probability is the one the lane's session computes, through the same
+/// helpers, so the lanes reported are exactly the session's.
 struct CentroidLanes<'a> {
     model: &'a NearestCentroid,
     znorm: bool,
     /// `width()` accumulators per lane, lanes in open order.
     acc: Vec<f64>,
     lanes: Vec<Lane>,
-    /// One lane's distances, then its probabilities.
+    /// One lane's squared distances, then its distances, then its
+    /// probabilities.
     dist: Vec<f64>,
 }
 
@@ -631,6 +745,7 @@ impl ScoreLanes for CentroidLanes<'_> {
         let (beta, k, t) = (model.beta, model.centroids.len(), &model.tables);
         let (coords, sum, sum_sq, root, clen) =
             (&t.coords[..], &t.sum[..], &t.sum_sq[..], &t.root[..], t.len);
+        let pregate = PreGate::new(beta, min_gap);
         let xx = x * x;
         for (lane, (state, acc)) in lanes
             .iter_mut()
@@ -664,26 +779,33 @@ impl ScoreLanes for CentroidLanes<'_> {
             if state.len < min_prefix {
                 continue;
             }
-            // One distance pass feeds the gate and leaves the distances in
-            // `dist` for the softmax, should the gate not rule the lane out.
-            let norm = norm_len(root, state.len);
-            let root_n = norm.1;
-            let terms = znorm
-                .then(|| ZnormTerms::new(norm, [head[0], head[1], head[2], head[3]], state.len));
-            let m = state.len.min(clen) * k;
-            let sums = sum[m..][..k].iter().zip(&sum_sq[m..][..k]);
-            let dists =
-                dist.iter_mut()
-                    .zip(&*per_class)
-                    .zip(sums)
-                    .map(|((slot, &a), (&sc, &scc))| {
-                        *slot = match &terms {
-                            Some(terms) => terms.distance(a, sc, scc),
-                            None => raw_distance(a, root_n),
-                        };
-                        *slot
-                    });
-            if distance_logit_gap(beta, dists).is_some_and(|g| g < min_gap) {
+            // The squared distances go to `dist`: a raw lane's
+            // accumulators, or the z-norm expansion.
+            let (nf, root_n) = norm_len(root, state.len);
+            if znorm {
+                let terms = ZnormTerms::new(
+                    (nf, root_n),
+                    [head[0], head[1], head[2], head[3]],
+                    state.len,
+                );
+                let m = state.len.min(clen) * k;
+                let sums = sum[m..][..k].iter().zip(&sum_sq[m..][..k]);
+                for ((slot, &sxc), (&sc, &scc)) in dist.iter_mut().zip(&*per_class).zip(sums) {
+                    *slot = terms.squared(sxc, sc, scc);
+                }
+            } else {
+                dist.copy_from_slice(per_class);
+            }
+            // Most lanes end here, before any root or division.
+            if pregate.rules_out(smallest_pair(dist), nf) {
+                continue;
+            }
+            // The rest take the session's path: distances, the exact gap,
+            // and the softmax should the gap not rule the lane out.
+            for d in dist.iter_mut() {
+                *d = raw_distance(*d, root_n);
+            }
+            if distance_logit_gap(beta, dist.iter().copied()).is_some_and(|g| g < min_gap) {
                 continue;
             }
             model.softmax_distances_in_place(dist);
@@ -1036,6 +1158,175 @@ mod tests {
         assert_eq!(p[0], 1.0);
         assert!(
             m.distance_logit_gap([0.0, 800.0].into_iter()).unwrap() >= crate::min_commit_gap(1.0)
+        );
+    }
+
+    /// Temperatures the pre-gate is checked at: `fit`'s, two far from it,
+    /// two so far that `(G/β)²` leaves the pre-gate's range, and the
+    /// degenerate ones, which have no gap.
+    const PREGATE_BETAS: [f64; 9] = [
+        4.0,
+        1e-3,
+        1e3,
+        1e-300,
+        1e300,
+        0.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+
+    /// Commit gaps the pre-gate is checked at: every threshold's, and raw
+    /// gaps no threshold gives (infinite, NaN, zero, negative, subnormal,
+    /// the smallest normal, very small and very large).
+    fn pregate_gaps() -> Vec<f64> {
+        let mut gaps: Vec<f64> = crate::gate_cases::THETAS
+            .iter()
+            .map(|&theta| crate::min_commit_gap(theta))
+            .collect();
+        gaps.extend([
+            f64::INFINITY,
+            f64::NAN,
+            0.0,
+            -1.0,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e-30,
+            1e30,
+        ]);
+        gaps
+    }
+
+    /// Checks [`PreGate`] on the squared distances `sq` after `nf` samples
+    /// at every gap of [`pregate_gaps`]: whenever it rules the lane out,
+    /// the exact gap — the lane's distances through [`distance_logit_gap`],
+    /// as the lane would compute them — is below the cutoff. Returns how
+    /// many cutoffs it ruled out.
+    fn assert_pregate_sound(beta: f64, sq: &[f64], nf: f64) -> usize {
+        let root_n = nf.sqrt();
+        let exact = distance_logit_gap(beta, sq.iter().map(|&s| raw_distance(s, root_n)));
+        let mut ruled_out = 0;
+        for gap in pregate_gaps() {
+            if PreGate::new(beta, gap).rules_out(smallest_pair(sq), nf) {
+                assert!(
+                    exact.is_some_and(|g| g < gap),
+                    "β {beta}, nf {nf}, squared {sq:?}: ruled out at gap {gap}, exact {exact:?}"
+                );
+                ruled_out += 1;
+            }
+        }
+        ruled_out
+    }
+
+    /// The pair `[a, x·a]` whose exact gap `β(√a − √(xa))/√nf` is `g`.
+    fn pair_at_gap(g: f64, x: f64, beta: f64, nf: f64) -> [f64; 2] {
+        let root_a = g * nf.sqrt() / (beta * (1.0 - x.sqrt()));
+        let a = root_a * root_a;
+        [a, x * a]
+    }
+
+    #[test]
+    fn pregate_never_rules_out_a_lane_the_exact_gap_keeps() {
+        let nfs = [1.0, 7.0, 150.0];
+        let mut ruled_out = 0;
+        let mut check = |sq: &[f64]| {
+            for beta in PREGATE_BETAS {
+                for nf in nfs {
+                    ruled_out += assert_pregate_sound(beta, sq, nf);
+                }
+            }
+        };
+        // Score vectors as they come (negative values included), as
+        // magnitudes and squared; whole (the smallest pair of up to seven
+        // classes) and pair by pair.
+        for v in crate::gate_cases::hostile_vectors(17, 1500) {
+            for sq in [
+                v.clone(),
+                v.iter().map(|x| x.abs()).collect(),
+                v.iter().map(|x| x * x).collect::<Vec<_>>(),
+            ] {
+                check(&sq);
+                for pair in sq.windows(2) {
+                    check(pair);
+                }
+            }
+        }
+        // Signed zeros, ±1e±300, NaN and ±∞, against each other and
+        // ordinary values.
+        let special = [
+            0.0,
+            -0.0,
+            1e300,
+            -1e300,
+            1e-300,
+            -1e-300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            0.25,
+        ];
+        for &p in &special {
+            for &q in &special {
+                check(&[p, q]);
+                check(&[p, q, 2.0]);
+            }
+        }
+        // Near-ties at every magnitude: the rounded roots of two squared
+        // distances a few ulps apart can differ by far more, relative to
+        // their exact difference, than δ covers — the case the cap exists
+        // for.
+        let mut scale = f64::from_bits(1);
+        while scale.is_finite() {
+            let a = scale * 1.375;
+            scale *= 2.0;
+            let mut b = a;
+            for _ in 0..4 {
+                b = b.next_down();
+                check(&[a, b]);
+                check(&[b, a.next_up()]);
+            }
+        }
+        // Pairs within 4 ulps of each cutoff, both the exact gap's and the
+        // pre-gate's own, at several ratios b/a (tight at 0, loosest at
+        // 1/9).
+        let ratios: [f64; 6] = [0.0, 1.0 / 9.0, 0.25, 0.5, 0.9, 0.999];
+        for beta in PREGATE_BETAS.into_iter().filter(|b| b.is_normal()) {
+            for gap in pregate_gaps().into_iter().filter(|g| g.is_normal()) {
+                for nf in nfs {
+                    for x in ratios {
+                        let at_pregate = gap * (1.0 - PREGATE_DELTA) * ((1.0 + 3.0 * x).sqrt())
+                            / (1.0 + x.sqrt());
+                        for g in [gap, at_pregate] {
+                            let [mut a, b] = pair_at_gap(g, x, beta, nf);
+                            let (mut up, mut down) = (a, a);
+                            check(&[a, b]);
+                            for _ in 0..4 {
+                                up = up.next_up();
+                                down = down.next_down();
+                                check(&[up, b]);
+                                check(&[down, b]);
+                                check(&[b, up]);
+                            }
+                            // Just inside the pre-gate's own cutoff, at
+                            // magnitudes far from under- and overflow, an
+                            // enabled pre-gate must rule the lane out.
+                            a *= 1.0 - 1e-6;
+                            let pregate = PreGate::new(beta, gap);
+                            if g == at_pregate
+                                && !pregate.w.is_nan()
+                                && (1e-200..1e200).contains(&a)
+                            {
+                                assert!(pregate.rules_out([a, b], nf), "β {beta}, G {gap}, x {x}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            ruled_out > 100_000,
+            "the pre-gate must rule lanes out: {ruled_out}"
         );
     }
 

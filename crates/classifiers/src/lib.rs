@@ -176,6 +176,12 @@ pub trait ScoreLanes: Send {
     ///
     /// With `min_gap = `[`min_commit_gap`]`(θ)` the lanes left out are
     /// exactly those whose session would skip the softmax at threshold θ.
+    ///
+    /// An implementation may rule a lane out before it computes the gap,
+    /// with a cheaper bound that is sound under rounding (the
+    /// nearest-centroid lanes' `PreGate`, in `centroid.rs`, which proves
+    /// its own). A lane the bound cannot rule out takes the exact gap, so
+    /// `out` is the same either way.
     fn push(&mut self, x: f64, min_prefix: usize, min_gap: f64, out: &mut Vec<LaneTop>);
 
     /// Append `lane`'s state to `enc` in the bytes

@@ -151,11 +151,15 @@ impl Persist for Sfa {
             )));
         }
         let n_dims = dec.get_usize("sfa dim count")?;
-        if n_dims != 2 * n_coeffs {
+        // Checked: twice a forged 2^63 coefficients overflows, and would
+        // wrap to 0 dimensions in a release build.
+        if n_coeffs.checked_mul(2) != Some(n_dims) {
             return Err(PersistError::Corrupt(format!(
                 "sfa: {n_dims} dimensions for {n_coeffs} coefficients"
             )));
         }
+        // Each dimension is at least its 8-byte breakpoint-count prefix.
+        dec.check_claim(n_dims, 8, "sfa dimensions")?;
         let mut breakpoints = Vec::with_capacity(n_dims);
         for d in 0..n_dims {
             let bp = dec.get_f64_vec("sfa breakpoints")?;

@@ -229,6 +229,8 @@ impl Persist for Weasel {
             return Err(PersistError::Corrupt("weasel: zero stride".into()));
         }
         let n_sfas = dec.get_usize("weasel sfa count")?;
+        // Each SFA is at least its window size and its 8-byte section length.
+        dec.check_claim(n_sfas, 16, "weasel sfas")?;
         let mut sfas = Vec::with_capacity(n_sfas);
         for _ in 0..n_sfas {
             let w = dec.get_usize("weasel window size")?;

@@ -484,6 +484,8 @@ impl Persist for Teaser {
         if n == 0 {
             return Err(PersistError::Corrupt("teaser: zero snapshots".into()));
         }
+        // Each snapshot is at least its 8-byte section length.
+        dec.check_claim(n, 8, "teaser snapshots")?;
         let mut snapshots = Vec::with_capacity(n);
         let mut prev_len = 0usize;
         for i in 0..n {

@@ -34,6 +34,12 @@
 //! per push that applies the gate above to each lane and evaluates the
 //! softmax only where the gate cannot rule out a commit. Each lane latches,
 //! counts and checkpoints exactly as its session does.
+//!
+//! The block receives `min_commit_gap(θ)` itself, so it may rule a lane out
+//! before it has a gap, with a cheaper bound that is sound under rounding
+//! ([`ScoreLanes::push`]); nearest-centroid lanes do, from their squared
+//! distances, before any root. A lane the bound cannot rule out takes the
+//! exact gap, so decisions, confidences and checkpoint bytes are unchanged.
 
 use etsc_classifiers::{argmax, min_commit_gap, Classifier, LaneTop, ScoreLanes, ScoreSession};
 use etsc_core::ClassLabel;

@@ -14,10 +14,9 @@
 //! owning node's [`NetClient`] (an ingest writes every node's sub-batch
 //! before it reads any acknowledgement, so a batch costs about one round
 //! trip whatever the node count), merges drains deterministically, and moves
-//! live streams between nodes with the same two-phase snapshot/restore
-//! discipline the in-process rebalance uses — on any failure the streams
-//! are restored to their source node and the routing topology is left
-//! untouched.
+//! live streams between nodes in two phases, export then import
+//! ([`Cluster::migrate`]) — on any failure the streams are restored to their
+//! source node and the routing topology is left untouched.
 
 use std::collections::{BTreeMap, BTreeSet};
 

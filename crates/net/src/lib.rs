@@ -41,10 +41,9 @@
 //! * **[`cluster`]** — [`ClusterRouter`] consistent-hashes stream ids onto
 //!   node endpoints (virtual-node ring, minimal movement when the node set
 //!   changes), and [`Cluster`] routes batches client-side, merges drains
-//!   deterministically, and migrates live streams between nodes with the
-//!   two-phase snapshot/restore discipline of the in-process rebalance —
-//!   a failed migration restores the source node and leaves the topology
-//!   untouched.
+//!   deterministically, and migrates live streams between nodes in two
+//!   phases, export then import — a failed migration restores the source
+//!   node and leaves the topology untouched.
 //! * **fault tolerance** ([`fault`], [`retry`], [`supervisor`]) —
 //!   deterministic fault injection under the transport ([`FaultPlan`]
 //!   scripts refusals, disconnects, stalls, corruption, and asymmetric

@@ -38,13 +38,9 @@
 //!   `ETSC_THREADS` with an explicit override for tests) and returns alarms
 //!   in a deterministic total order.
 //! * **Live rebalancing** — [`Runtime::rebalance`] re-shards on the fly,
-//!   shipping each re-routed stream between workers as a `(model name,
-//!   anchor snapshot)` pair via
-//!   [`snapshot_anchors`](etsc_stream::StreamMonitor::snapshot_anchors) /
-//!   [`resume_anchors`](etsc_stream::StreamMonitor::resume_anchors).
-//!   Refractory clocks travel too, so
-//!   per-stream alarm sequences are unchanged across a migration —
-//!   bit-exact under the raw norm.
+//!   moving each re-routed stream's monitor to its new worker by value.
+//!   Refractory clocks travel too, so per-stream alarm sequences are
+//!   unchanged across a migration, bit for bit.
 //! * **Crash recovery** — [`Runtime::checkpoint`] persists the model plus
 //!   every stream's anchors (and undelivered alarms) to a
 //!   [`ModelRegistry`](etsc_persist::ModelRegistry);

@@ -9,8 +9,8 @@ use etsc_core::hash;
 /// processes, platforms, and releases — so any host (an ingester, a
 /// rebalancer, a recovery process) computes the same assignment without
 /// coordination. Changing the shard count changes most routes; the runtime's
-/// [`rebalance`](crate::Runtime::rebalance) handles that by migrating the
-/// affected streams' anchor state.
+/// [`rebalance`](crate::Runtime::rebalance) handles that by moving the
+/// affected streams' monitors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
     shards: usize,

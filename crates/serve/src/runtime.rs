@@ -21,14 +21,13 @@
 //! carries the slot, so the drain indexes the slab directly: per record the
 //! runtime does one hash lookup and writes the live-depth gauges once per
 //! batch. Slots move only while every queue is empty — a stream leaves the
-//! slab by `swap_remove` in [`close_stream`](Runtime::close_stream),
-//! [`export_streams`](Runtime::export_streams) and
-//! [`rebalance`](Runtime::rebalance), each of which drains the queues
-//! first. Nothing iterates the index: every walk whose result escapes
-//! (checkpoint bytes, a rebalance's first error,
-//! [`stream_ids`](Runtime::stream_ids)) visits shards in order and ids
-//! ascending within each, so slot and hash order never reach bytes, alarms
-//! or callers.
+//! slab by `swap_remove` in [`close_stream`](Runtime::close_stream) and
+//! [`export_streams`](Runtime::export_streams), and
+//! [`rebalance`](Runtime::rebalance) rebuilds every slab; each drains the
+//! queues first. Nothing iterates the index: every walk whose result
+//! escapes (checkpoint bytes, [`stream_ids`](Runtime::stream_ids)) visits
+//! shards in order and ids ascending within each, so slot and hash order
+//! never reach bytes, alarms or callers.
 //!
 //! Batching is what amortizes the fan-out: a scoped spawn costs ~10µs per
 //! worker, so the intended shape is "ingest a few thousand records, drain
@@ -52,13 +51,16 @@
 //! # Migration and recovery
 //!
 //! Both reuse the persistence substrate rather than inventing a second
-//! serialization: a stream moves between shards — or across a process
-//! boundary — as a `(model name, anchor snapshot)` pair, exactly the
-//! follow-on the checkpoint layer was built for.
-//! [`rebalance`](Runtime::rebalance) drains, then ships every re-routed
-//! stream through [`StreamMonitor::snapshot_anchors`] /
+//! serialization: a stream moves across a process boundary as a
+//! `(model name, anchor snapshot)` pair, exactly the follow-on the
+//! checkpoint layer was built for —
+//! [`export_streams`](Runtime::export_streams) /
+//! [`import_streams`](Runtime::import_streams) ship
+//! [`StreamMonitor::snapshot_anchors`] bytes to
 //! [`StreamMonitor::resume_anchors`] (refractory clocks included), so alarm
-//! sequences are unchanged across a migration.
+//! sequences are unchanged across a migration. Within one process,
+//! [`rebalance`](Runtime::rebalance) drains, then moves every monitor to its
+//! new shard by value: no bytes are written.
 //! [`checkpoint`](Runtime::checkpoint) persists the fitted model plus every
 //! stream's anchor snapshot (and any undelivered alarms) into a
 //! [`ModelRegistry`]; [`recover`](Runtime::recover) rebuilds the whole
@@ -651,17 +653,15 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         }
     }
 
-    /// Re-shard the runtime to `new_shards` workers, migrating every
-    /// re-routed stream by shipping its anchor snapshot bytes to the target
-    /// shard ([`StreamMonitor::snapshot_anchors`] →
-    /// [`StreamMonitor::resume_anchors`], refractory clocks included) — the
-    /// same byte path a cross-process migration takes, so alarm sequences
-    /// are unchanged across the move.
+    /// Re-shard the runtime to `new_shards` workers, moving every monitor
+    /// by value into the shard the new router assigns it — refractory
+    /// clocks, lanes and pooled sessions included — so alarm sequences are
+    /// unchanged across the move. Nothing is serialized: within one process
+    /// a monitor is the state a snapshot would carry.
     ///
     /// Pending queues are drained first (alarms buffered for the next
-    /// [`drain`](Self::drain)); the rebalance itself is atomic — on error
-    /// (e.g. a third-party session type without checkpoint support) the
-    /// topology is left exactly as it was.
+    /// [`drain`](Self::drain)). The only error is a shard count of 0, which
+    /// leaves the topology exactly as it was.
     pub fn rebalance(&mut self, new_shards: usize) -> Result<(), ServeError> {
         if new_shards == 0 {
             return Err(ServeError::BadConfig("shard count must be ≥ 1".into()));
@@ -672,38 +672,22 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         let tracer = self.tracer.clone().filter(|t| t.enabled());
         let trace_start = tracer.as_ref().map_or(0, |t| t.start());
         let new_router = ShardRouter::new(new_shards);
-        // Phase 1 (fallible, read-only): rehydrate a fresh monitor from
-        // snapshot bytes for every stream whose shard index changes, in
-        // shard then id order so the first error is deterministic. Streams
-        // keeping their index move by value below — no byte round-trip.
-        let mut migrated: BTreeMap<u64, StreamMonitor<'a, C>> = BTreeMap::new();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            for (id, monitor) in shard.sorted() {
-                if new_router.route(id) != idx {
-                    let bytes = monitor.snapshot_anchors()?;
-                    let mut fresh = StreamMonitor::new(self.clf, self.cfg.monitor);
-                    fresh.resume_anchors(&bytes)?;
-                    migrated.insert(id, fresh);
-                }
-            }
-        }
-        // Phase 2 (infallible): swap in the new topology.
-        let n_migrated = migrated.len() as u64;
         let old = std::mem::replace(
             &mut self.shards,
             (0..new_shards).map(|_| Shard::new()).collect(),
         );
-        for shard in old {
+        let mut n_migrated = 0u64;
+        for (idx, shard) in old.into_iter().enumerate() {
             self.retired_pushes += shard.pushes;
             self.retired_alarms += shard.alarms;
             for (id, monitor) in shard.into_monitors() {
                 let target = new_router.route(id);
-                let moved = migrated.remove(&id).unwrap_or(monitor);
+                n_migrated += u64::from(target != idx);
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "target < new_shards == shards.len() by construction; silently dropping a monitor would be worse than the impossible panic"
                 )]
-                self.shards[target].insert(id, moved);
+                self.shards[target].insert(id, monitor);
             }
         }
         self.router = new_router;
@@ -738,8 +722,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// Export streams for a cross-runtime (typically cross-node) migration:
     /// each returned entry is the stream id and its anchor-snapshot bytes
     /// (the exact [`StreamMonitor::snapshot_anchors`] envelope that
-    /// [`import_streams`](Self::import_streams) — or a rebalance target —
-    /// resumes from). Pending queues are drained first, so the snapshot
+    /// [`import_streams`](Self::import_streams) resumes from). Pending queues are drained first, so the snapshot
     /// reflects every already-ingested sample; the produced alarms stay
     /// buffered for the next [`drain`](Self::drain).
     ///

@@ -9,9 +9,9 @@
 //!
 //! The index is a std `HashMap` (keyed SipHash, so ids arriving over the
 //! wire cannot be chosen to collide). Nothing iterates it: every walk whose
-//! result escapes — checkpoint bytes, a rebalance's first error, the stream
-//! id listing — goes through [`Shard::sorted`] or sorts ids itself, so the
-//! hash order never reaches bytes, alarms or callers.
+//! result escapes — checkpoint bytes, the stream id listing — goes through
+//! [`Shard::sorted`] or sorts ids itself, so the hash order never reaches
+//! bytes, alarms or callers.
 
 use etsc_core::metrics::{Clock, Histogram};
 use etsc_core::trace::{SpanKind, Tracer};

@@ -82,7 +82,8 @@ pub struct ServeStats {
     pub queue_depth_high_water: u64,
     /// Completed [`rebalance`](crate::Runtime::rebalance) calls.
     pub rebalances: u64,
-    /// Streams that crossed shards via the snapshot/resume byte path.
+    /// Streams that changed shards in a rebalance, or left or joined the
+    /// runtime through `export_streams` / `import_streams`.
     pub migrated_streams: u64,
     /// Checkpoints written (explicit and periodic).
     pub checkpoints: u64,

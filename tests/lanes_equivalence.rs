@@ -6,8 +6,8 @@
 //! drives one boxed session per anchor instead. The two must agree bit for
 //! bit: alarms with their confidence bits, `snapshot_anchors` bytes at
 //! several cut points, snapshots resumed across the two paths, anchors
-//! closed in a commit tick, and a sharded `Runtime` through a rebalance and
-//! a checkpoint + recover.
+//! closed in a commit tick, and a sharded `Runtime` through a rebalance, an
+//! export → import and a checkpoint + recover.
 //!
 //! The lane loop is compiled differently in optimized builds, so CI runs
 //! this suite under `cargo test --release` as well.
@@ -377,12 +377,15 @@ fn alarm_bits(alarms: &[StreamAlarm]) -> Vec<(u64, u64, AlarmBits)> {
         .collect()
 }
 
-/// Ingest `batches` into `rt`, draining every 16 batches and rebalancing to
-/// three shards a third of the way in.
+/// Ingest `batches` into `rt`, draining every 16 batches. With `migrate`,
+/// rebalance to three shards a third of the way in, which moves monitors by
+/// value, and two thirds of the way in send every third stream out and back
+/// in through `export_streams` → `import_streams`, which resumes them from
+/// their snapshot bytes.
 fn drive<C: EarlyClassifier + ?Sized>(
     rt: &mut Runtime<'_, C>,
     batches: &[Vec<Record>],
-    rebalance: bool,
+    migrate: bool,
 ) -> Vec<StreamAlarm> {
     let mut alarms = Vec::new();
     for (i, batch) in batches.iter().enumerate() {
@@ -390,8 +393,14 @@ fn drive<C: EarlyClassifier + ?Sized>(
         if (i + 1) % 16 == 0 {
             alarms.extend(rt.drain());
         }
-        if rebalance && i == batches.len() / 3 {
+        if migrate && i == batches.len() / 3 {
             rt.rebalance(3).unwrap();
+        }
+        if migrate && i == 2 * batches.len() / 3 {
+            let moved: Vec<u64> = rt.stream_ids().into_iter().step_by(3).collect();
+            let snapshots = rt.export_streams(&moved).unwrap();
+            assert_eq!(snapshots.len(), 4);
+            rt.import_streams(&snapshots).unwrap();
         }
     }
     alarms.extend(rt.drain());

@@ -22,13 +22,18 @@ use std::path::PathBuf;
 
 use etsc::classifiers::centroid::NearestCentroid;
 use etsc::classifiers::gaussian::{CovarianceKind, GaussianModel};
+use etsc::classifiers::sfa::Sfa;
+use etsc::classifiers::weasel::Weasel;
 use etsc::core::UcrDataset;
 use etsc::early::ects::{Ects, EctsConfig};
 use etsc::early::edsc::{Edsc, EdscConfig, ThresholdMethod};
 use etsc::early::relclass::{RelClass, RelClassConfig};
+use etsc::early::teaser::Teaser;
 use etsc::early::template::TemplateMatcher;
 use etsc::early::{checkpoint_session, resume_session, EarlyClassifier, SessionNorm};
-use etsc::persist::{envelope, inspect, ModelRegistry, Persist, PersistError, FORMAT_VERSION};
+use etsc::persist::{
+    envelope, inspect, Encoder, ModelRegistry, Persist, PersistError, FORMAT_VERSION,
+};
 use etsc::serve::{OverflowPolicy, Record, Runtime, RuntimeConfig, StreamAlarm, SERVE_STATE_KIND};
 use etsc::stream::{StreamMonitorConfig, StreamNorm};
 
@@ -335,6 +340,57 @@ fn forged_model_counts_are_typed_errors() {
     let edsc = forge_u64("edsc_che.etsc", Edsc::KIND, 24, 1 << 30);
     assert!(matches!(
         Edsc::restore(&edsc),
+        Err(PersistError::Corrupt(_))
+    ));
+}
+
+/// `head` (the fields before a count), the count 2^30, then 256 zero bytes,
+/// sealed as a `kind` envelope.
+fn forged_count(kind: &str, head: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    head(&mut enc);
+    enc.put_usize(1 << 30);
+    let mut payload = enc.into_bytes();
+    payload.extend([0; 256]);
+    envelope(kind, &payload)
+}
+
+#[test]
+fn forged_teaser_weasel_and_sfa_counts_are_typed_errors() {
+    // No fixture holds these three models, so each payload is built by
+    // hand: the fields in front of the count, then 2^30 items claimed by a
+    // few hundred bytes.
+    let sfa = forged_count(Sfa::KIND, |e| {
+        e.put_usize(1 << 29); // n_coeffs, so that 2^30 dimensions agree
+        e.put_usize(4); // alphabet
+    });
+    assert!(matches!(Sfa::restore(&sfa), Err(PersistError::Corrupt(_))));
+    // 2^63 coefficients with no dimensions: twice the count wraps to 0.
+    let mut enc = Encoder::new();
+    enc.put_usize(1 << 63);
+    enc.put_usize(4);
+    enc.put_usize(0);
+    let wrapped = envelope(Sfa::KIND, &enc.into_bytes());
+    assert!(matches!(
+        Sfa::restore(&wrapped),
+        Err(PersistError::Corrupt(_))
+    ));
+    let weasel = forged_count(Weasel::KIND, |e| {
+        e.put_usize(2); // classes
+        e.put_usize(1); // stride
+    });
+    assert!(matches!(
+        Weasel::restore(&weasel),
+        Err(PersistError::Corrupt(_))
+    ));
+    let teaser = forged_count(Teaser::KIND, |e| {
+        e.put_usize(1); // consistency
+        e.put_usize(2); // classes
+        e.put_usize(24); // series_len
+        e.put_bool(false); // znorm_prefixes
+    });
+    assert!(matches!(
+        Teaser::restore(&teaser),
         Err(PersistError::Corrupt(_))
     ));
 }
