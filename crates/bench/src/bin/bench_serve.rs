@@ -20,7 +20,7 @@
 //!   size; and
 //! * **instrumentation overhead**: median-of-5 interleaved A/B of
 //!   pushes/s with the runtime clock disabled vs monotonic — the cost of
-//!   leaving telemetry on, which the 1-in-8 push sampling is designed to
+//!   leaving telemetry on, which the 1-in-64 push sampling is designed to
 //!   keep under 5%; and
 //! * **tracing overhead**: the same interleaved A/B with a *disabled*
 //!   tracer against a *recording* one, every batch carrying a wire

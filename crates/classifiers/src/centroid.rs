@@ -671,6 +671,11 @@ const ZNORM_HEAD: usize = 4;
 /// lanes the gap cannot rule out, the softmax. Every distance, gap and
 /// probability is the one the lane's session computes, through the same
 /// helpers, so the lanes reported are exactly the session's.
+///
+/// The loop is one generic body (`push_lanes`), compiled for two classes,
+/// where the class loops, the lane width and the table slices are
+/// constants, and for a class count read at run time, each raw and
+/// z-normalized.
 struct CentroidLanes<'a> {
     model: &'a NearestCentroid,
     znorm: bool,
@@ -689,9 +694,145 @@ struct Lane {
     frozen: bool,
 }
 
+/// Accumulators per lane for `k` classes: the per-class sums, after the
+/// z-norm head when `znorm` is set.
+#[inline(always)]
+fn lane_width(k: usize, znorm: bool) -> usize {
+    k + if znorm { ZNORM_HEAD } else { 0 }
+}
+
+/// A class count the lane loop is compiled for.
+trait Classes: Copy {
+    fn count(self) -> usize;
+}
+
+/// Two classes, a compile-time constant.
+#[derive(Clone, Copy)]
+struct TwoClasses;
+
+impl Classes for TwoClasses {
+    #[inline(always)]
+    fn count(self) -> usize {
+        2
+    }
+}
+
+/// Any class count, read at run time.
+#[derive(Clone, Copy)]
+struct AnyClasses(usize);
+
+impl Classes for AnyClasses {
+    #[inline(always)]
+    fn count(self) -> usize {
+        self.0
+    }
+}
+
 impl CentroidLanes<'_> {
     fn width(&self) -> usize {
-        self.model.centroids.len() + if self.znorm { ZNORM_HEAD } else { 0 }
+        lane_width(self.model.centroids.len(), self.znorm)
+    }
+
+    /// [`ScoreLanes::push`] for `classes` classes, z-normalized when
+    /// `ZNORM` is set.
+    #[inline(always)]
+    fn push_lanes<K: Classes, const ZNORM: bool>(
+        &mut self,
+        classes: K,
+        x: f64,
+        min_prefix: usize,
+        min_gap: f64,
+        out: &mut Vec<LaneTop>,
+    ) {
+        let Self {
+            model,
+            acc,
+            lanes,
+            dist,
+            ..
+        } = self;
+        let model = *model;
+        let k = classes.count();
+        let width = lane_width(k, ZNORM);
+        let head_len = width - k;
+        // The model's constants as locals, so that the stores below do not
+        // make the compiler reload them for every lane.
+        let (beta, t) = (model.beta, &model.tables);
+        let (coords, sum, sum_sq, root, clen) =
+            (&t.coords[..], &t.sum[..], &t.sum_sq[..], &t.root[..], t.len);
+        let dist = &mut dist[..k];
+        let pregate = PreGate::new(beta, min_gap);
+        let xx = x * x;
+        for (lane, (state, acc)) in lanes
+            .iter_mut()
+            .zip(acc.chunks_exact_mut(width))
+            .enumerate()
+        {
+            if state.frozen {
+                continue;
+            }
+            let (head, per_class) = acc.split_at_mut(head_len);
+            let per_class = &mut per_class[..k];
+            if state.len < clen {
+                let coords = &coords[state.len * k..][..k];
+                if ZNORM {
+                    head[2] += x;
+                    head[3] += xx;
+                    for (s, &ci) in per_class.iter_mut().zip(coords) {
+                        *s += x * ci;
+                    }
+                } else {
+                    for (s, &ci) in per_class.iter_mut().zip(coords) {
+                        let d = x - ci;
+                        *s += d * d;
+                    }
+                }
+            }
+            if ZNORM {
+                head[0] += x;
+                head[1] += xx;
+            }
+            state.len += 1;
+            if state.len < min_prefix {
+                continue;
+            }
+            // The squared distances go to `dist`: a raw lane's
+            // accumulators, or the z-norm expansion.
+            let (nf, root_n) = norm_len(root, state.len);
+            if ZNORM {
+                let terms = ZnormTerms::new(
+                    (nf, root_n),
+                    [head[0], head[1], head[2], head[3]],
+                    state.len,
+                );
+                let m = state.len.min(clen) * k;
+                let sums = sum[m..][..k].iter().zip(&sum_sq[m..][..k]);
+                for ((slot, &sxc), (&sc, &scc)) in dist.iter_mut().zip(&*per_class).zip(sums) {
+                    *slot = terms.squared(sxc, sc, scc);
+                }
+            } else {
+                dist.copy_from_slice(per_class);
+            }
+            // Most lanes end here, before any root or division.
+            if pregate.rules_out(smallest_pair(dist), nf) {
+                continue;
+            }
+            // The rest take the session's path: distances, the exact gap,
+            // and the softmax should the gap not rule the lane out.
+            for d in dist.iter_mut() {
+                *d = raw_distance(*d, root_n);
+            }
+            if distance_logit_gap(beta, dist.iter().copied()).is_some_and(|g| g < min_gap) {
+                continue;
+            }
+            model.softmax_distances_in_place(dist);
+            let label = argmax(dist);
+            out.push(LaneTop {
+                lane,
+                label,
+                probability: dist[label],
+            });
+        }
     }
 }
 
@@ -731,90 +872,11 @@ impl ScoreLanes for CentroidLanes<'_> {
     }
 
     fn push(&mut self, x: f64, min_prefix: usize, min_gap: f64, out: &mut Vec<LaneTop>) {
-        let width = self.width();
-        let Self {
-            model,
-            znorm,
-            acc,
-            lanes,
-            dist,
-        } = self;
-        let (model, znorm): (&NearestCentroid, bool) = (model, *znorm);
-        // The model's constants as locals, so that the stores below do not
-        // make the compiler reload them for every lane.
-        let (beta, k, t) = (model.beta, model.centroids.len(), &model.tables);
-        let (coords, sum, sum_sq, root, clen) =
-            (&t.coords[..], &t.sum[..], &t.sum_sq[..], &t.root[..], t.len);
-        let pregate = PreGate::new(beta, min_gap);
-        let xx = x * x;
-        for (lane, (state, acc)) in lanes
-            .iter_mut()
-            .zip(acc.chunks_exact_mut(width))
-            .enumerate()
-        {
-            if state.frozen {
-                continue;
-            }
-            let (head, per_class) = acc.split_at_mut(if znorm { ZNORM_HEAD } else { 0 });
-            if state.len < clen {
-                let coords = &coords[state.len * k..][..k];
-                if znorm {
-                    head[2] += x;
-                    head[3] += xx;
-                    for (s, &ci) in per_class.iter_mut().zip(coords) {
-                        *s += x * ci;
-                    }
-                } else {
-                    for (s, &ci) in per_class.iter_mut().zip(coords) {
-                        let d = x - ci;
-                        *s += d * d;
-                    }
-                }
-            }
-            if znorm {
-                head[0] += x;
-                head[1] += xx;
-            }
-            state.len += 1;
-            if state.len < min_prefix {
-                continue;
-            }
-            // The squared distances go to `dist`: a raw lane's
-            // accumulators, or the z-norm expansion.
-            let (nf, root_n) = norm_len(root, state.len);
-            if znorm {
-                let terms = ZnormTerms::new(
-                    (nf, root_n),
-                    [head[0], head[1], head[2], head[3]],
-                    state.len,
-                );
-                let m = state.len.min(clen) * k;
-                let sums = sum[m..][..k].iter().zip(&sum_sq[m..][..k]);
-                for ((slot, &sxc), (&sc, &scc)) in dist.iter_mut().zip(&*per_class).zip(sums) {
-                    *slot = terms.squared(sxc, sc, scc);
-                }
-            } else {
-                dist.copy_from_slice(per_class);
-            }
-            // Most lanes end here, before any root or division.
-            if pregate.rules_out(smallest_pair(dist), nf) {
-                continue;
-            }
-            // The rest take the session's path: distances, the exact gap,
-            // and the softmax should the gap not rule the lane out.
-            for d in dist.iter_mut() {
-                *d = raw_distance(*d, root_n);
-            }
-            if distance_logit_gap(beta, dist.iter().copied()).is_some_and(|g| g < min_gap) {
-                continue;
-            }
-            model.softmax_distances_in_place(dist);
-            let label = argmax(dist);
-            out.push(LaneTop {
-                lane,
-                label,
-                probability: dist[label],
-            });
+        match (self.model.centroids.len(), self.znorm) {
+            (2, true) => self.push_lanes::<_, true>(TwoClasses, x, min_prefix, min_gap, out),
+            (2, false) => self.push_lanes::<_, false>(TwoClasses, x, min_prefix, min_gap, out),
+            (k, true) => self.push_lanes::<_, true>(AnyClasses(k), x, min_prefix, min_gap, out),
+            (k, false) => self.push_lanes::<_, false>(AnyClasses(k), x, min_prefix, min_gap, out),
         }
     }
 

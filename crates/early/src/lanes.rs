@@ -51,17 +51,28 @@ impl LaneStatus {
 /// live lane. Each lane latches like a session: once its decision is a
 /// `Predict`, later pushes only count samples.
 ///
+/// A push touches no status. Every live lane consumes every push, so a
+/// block may count pushes once and derive each lane's length from that
+/// count, filling the lengths in only when the statuses are read
+/// ([`status`](Self::status), hence `&mut self`), saved, or a lane is
+/// opened or resumed. Instead of a status pass, [`push`](Self::push)
+/// reports whether any lane holds a commit; a caller that retires lanes by
+/// length alone can skip reading the statuses until that flag is set or
+/// its oldest lane is due.
+///
 /// `Send` for the same reason as [`DecisionSession`]: a serving runtime
 /// services streams on worker threads.
 pub trait DecisionLanes: Send {
     /// Open a lane after the live ones, as a fresh session would start.
     fn open(&mut self);
 
-    /// Feed `x` to every lane, oldest first.
-    fn push(&mut self, x: f64);
+    /// Feed `x` to every lane, oldest first. Returns whether any live lane
+    /// holds a commit: one that committed on this push, or on an earlier
+    /// one, or was resumed committed, and has not been retired since.
+    fn push(&mut self, x: f64) -> bool;
 
-    /// Every lane's status, in lane order.
-    fn status(&self) -> &[LaneStatus];
+    /// Every lane's status, in lane order, with lengths filled in.
+    fn status(&mut self) -> &[LaneStatus];
 
     /// Keep the lanes whose flag in `keep` is set, in order; lanes without
     /// a flag are kept. Retired lanes' storage is reused by later opens.

@@ -169,6 +169,8 @@ impl<C: Classifier> EarlyClassifier for ProbThreshold<C> {
             norm,
             scores,
             status: Vec::new(),
+            lag: 0,
+            committed: false,
             peak: 0,
             tops: Vec::new(),
         }))
@@ -401,30 +403,58 @@ impl<C: Classifier> DecisionSession for ProbThresholdSession<'_, C> {
 /// The lanes of [`ProbThreshold`] over a classifier's [`ScoreLanes`]: each
 /// lane is a [`ProbThresholdSession`], with the scorers held in one block
 /// and the threshold test applied to the few lanes the block reports.
+///
+/// A push leaves the statuses' lengths alone and counts itself in `lag`;
+/// the lengths are filled in when they are read or a lane is added.
 struct ProbThresholdLanes<'a, C> {
     model: &'a ProbThreshold<C>,
     norm: SessionNorm,
     /// One scorer lane per lane; a committed lane's scorer is frozen, as a
     /// latched session stops feeding its scorer.
     scores: Box<dyn ScoreLanes + 'a>,
+    /// Every lane's status, its length `lag` samples behind.
     status: Vec<LaneStatus>,
+    /// Pushes since the lengths in `status` were filled in.
+    lag: usize,
+    /// Whether some live lane holds a commit.
+    committed: bool,
     /// Most lanes ever live: lanes beyond the live ones are pooled storage.
     peak: usize,
     /// Lanes the last push scored through the softmax.
     tops: Vec<LaneTop>,
 }
 
+impl<C> ProbThresholdLanes<'_, C> {
+    /// Bring every lane's length up to date.
+    fn fill_lens(&mut self) {
+        if self.lag > 0 {
+            for status in &mut self.status {
+                status.len += self.lag;
+            }
+            self.lag = 0;
+        }
+    }
+
+    /// Append a lane with `status`, its scorer already appended.
+    fn add(&mut self, status: LaneStatus) {
+        self.fill_lens();
+        if status.decision.is_predict() {
+            self.scores.freeze(self.status.len());
+            self.committed = true;
+        }
+        self.status.push(status);
+        self.peak = self.peak.max(self.status.len());
+    }
+}
+
 impl<C: Classifier> DecisionLanes for ProbThresholdLanes<'_, C> {
     fn open(&mut self) {
         self.scores.open();
-        self.status.push(LaneStatus::FRESH);
-        self.peak = self.peak.max(self.status.len());
+        self.add(LaneStatus::FRESH);
     }
 
-    fn push(&mut self, x: f64) {
-        for status in &mut self.status {
-            status.len += 1;
-        }
+    fn push(&mut self, x: f64) -> bool {
+        self.lag += 1;
         self.tops.clear();
         self.scores.push(
             x,
@@ -436,23 +466,30 @@ impl<C: Classifier> DecisionLanes for ProbThresholdLanes<'_, C> {
             if let Some(commit) = self.model.commit(top.label, top.probability) {
                 self.status[top.lane].decision = commit;
                 self.scores.freeze(top.lane);
+                self.committed = true;
             }
         }
+        self.committed
     }
 
-    fn status(&self) -> &[LaneStatus] {
+    fn status(&mut self) -> &[LaneStatus] {
+        self.fill_lens();
         &self.status
     }
 
     fn retain(&mut self, keep: &[bool]) {
+        // Every lane lags by the same count, so the kept ones still do.
         self.scores.retain(keep);
         let mut flags = keep.iter();
         self.status.retain(|_| flags.next() != Some(&false));
+        self.committed = self.status.iter().any(|s| s.decision.is_predict());
     }
 
     fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError> {
         let save = |e: &mut Encoder| self.scores.save_lane(lane, e);
-        encode_state(enc, self.norm, save, self.status[lane])
+        let status = self.status[lane];
+        let len = status.len + self.lag;
+        encode_state(enc, self.norm, save, LaneStatus { len, ..status })
     }
 
     fn resume_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
@@ -460,11 +497,7 @@ impl<C: Classifier> DecisionLanes for ProbThresholdLanes<'_, C> {
         let (len, decision) = self
             .model
             .decode_state(self.norm, dec, |sub| scores.load_lane(sub))?;
-        if decision.is_predict() {
-            self.scores.freeze(self.status.len());
-        }
-        self.status.push(LaneStatus { decision, len });
-        self.peak = self.peak.max(self.status.len());
+        self.add(LaneStatus { decision, len });
         Ok(())
     }
 
@@ -607,6 +640,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lane_block_push_reports_whether_a_live_lane_holds_a_commit() {
+        let train = toy(6, 30);
+        let clf = ProbThreshold::new(NearestCentroid::fit(&train), 0.8, 30, 2);
+        // Class 1 sits near 2.0 and class 0 near 0.0: a lane fed 2.0
+        // commits within a few samples, and a push of 1.0, halfway, commits
+        // no lane, so what it returns is the flag as it stood.
+        let undecided = 1.0;
+        // Pushes 2.0 until `lane` commits; returns the pushes it took.
+        let commit = |lanes: &mut dyn DecisionLanes, lane: usize| {
+            for pushes in 1..=30 {
+                lanes.push(2.0);
+                if lanes.status()[lane].decision.is_predict() {
+                    return pushes;
+                }
+            }
+            panic!("lane {lane} did not commit");
+        };
+        let mut lanes = clf.lanes(SessionNorm::Raw).unwrap();
+        lanes.open();
+        assert!(!lanes.push(undecided), "nothing committed yet");
+        let pushes = commit(lanes.as_mut(), 0);
+        // A younger lane opens; the committed one keeps the flag set.
+        assert!(lanes.push(undecided));
+        lanes.open();
+        assert!(lanes.push(undecided));
+        assert!(lanes.push(undecided));
+        assert!(!lanes.status()[1].decision.is_predict());
+        let lens: Vec<usize> = lanes.status().iter().map(|s| s.len).collect();
+        assert_eq!(lens, [pushes + 4, 2], "every push counts, latched or not");
+
+        // Retiring the last committed lane, as a monitor retires a fired
+        // anchor, clears the flag.
+        lanes.retain(&[false, true]);
+        assert!(!lanes.push(undecided));
+
+        // So does closing a committed lane, as `StreamMonitor::close_anchor`
+        // does: every flag set but the closed lane's.
+        commit(lanes.as_mut(), 0);
+        let mut saved = Encoder::new();
+        lanes.save_lane(0, &mut saved).unwrap();
+        lanes.open();
+        lanes.open();
+        lanes.retain(&[true, true, false]);
+        assert!(lanes.push(undecided), "the committed lane is still live");
+        lanes.open();
+        lanes.retain(&[false, true, true]);
+        assert_eq!(lanes.status().len(), 2);
+        assert!(!lanes.push(undecided));
+
+        // A lane resumed committed sets the flag at once: the push after
+        // it reports the commit, though it commits nothing itself.
+        let bytes = saved.into_bytes();
+        let mut resumed = clf.lanes(SessionNorm::Raw).unwrap();
+        resumed.open();
+        resumed.resume_lane(&mut Decoder::new(&bytes)).unwrap();
+        assert!(resumed.status()[1].decision.is_predict());
+        assert!(resumed.push(undecided));
+        // An uncommitted one does not.
+        let mut fresh = Encoder::new();
+        lanes.save_lane(1, &mut fresh).unwrap();
+        let mut other = clf.lanes(SessionNorm::Raw).unwrap();
+        other
+            .resume_lane(&mut Decoder::new(&fresh.into_bytes()))
+            .unwrap();
+        assert!(!other.push(undecided));
     }
 
     #[test]

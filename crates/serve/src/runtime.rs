@@ -1472,7 +1472,7 @@ mod tests {
         assert!(stats.drain_cycle_ns.count() >= 1);
         assert!(
             stats.push_ns.count() >= 1,
-            "1-in-8 sampling over {} pushes must observe something",
+            "1-in-64 sampling over {} pushes must observe something",
             stats.pushes
         );
         assert_eq!(stats.checkpoint_pause_ns.count(), 1);

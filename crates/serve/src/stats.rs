@@ -94,7 +94,7 @@ pub struct ServeStats {
     /// [`drain`](crate::Runtime::drain)/flush that found queued work),
     /// in nanoseconds. Empty when the runtime's clock is disabled.
     pub drain_cycle_ns: HistogramSnapshot,
-    /// Latency distribution of individual monitor pushes, sampled 1-in-8
+    /// Latency distribution of individual monitor pushes, sampled 1-in-64
     /// per shard (see [`crate::Runtime::set_clock`]), in nanoseconds.
     pub push_ns: HistogramSnapshot,
     /// Distribution of checkpoint pause times (the stop-the-world span of
@@ -156,7 +156,7 @@ impl ServeStats {
         );
         counter(
             "etsc_serve_migrated_streams_total",
-            "Streams that crossed shards or nodes via the snapshot byte path.",
+            "Streams that changed shards in a rebalance, or left or joined the runtime through export/import.",
             self.migrated_streams,
         );
         counter(
@@ -206,7 +206,7 @@ impl ServeStats {
         );
         histogram(
             "etsc_serve_push_ns",
-            "Per-push monitor latency in nanoseconds, sampled 1-in-8 pushes per shard.",
+            "Per-push monitor latency in nanoseconds, sampled 1-in-64 pushes per shard.",
             &self.push_ns,
         );
         histogram(

@@ -19,6 +19,15 @@
 //! amortized O(1) in the anchor's age — and alarms, confidences and
 //! snapshot bytes are those of the per-anchor sessions.
 //!
+//! A lane block's push touches no lane status: it reports whether any lane
+//! holds a commit, and the monitor walks the statuses, to fire, suppress
+//! and retire, only on a commit or when its oldest anchor expires. Every
+//! lane has consumed the samples since its anchor opened, so the oldest
+//! anchor's age says whether any uncommitted lane has consumed a full
+//! pattern length; [`resume_anchors`](StreamMonitor::resume_anchors)
+//! refuses lanes for which that does not hold. A fleet's statuses are read
+//! from its sessions as it is pushed, so it is walked on every sample.
+//!
 //! Alarm semantics: at most one alarm fires per sample — the oldest
 //! committed anchor, provided the monitor is outside its refractory period.
 //! Anchors that commit while another fires stay live and fire on subsequent
@@ -170,12 +179,28 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         }
         let t = self.now;
         self.now += 1;
-        let quiet = t < self.quiet_until;
+        let max_len = self.clf.series_len();
 
         // One push per live lane (committed lanes are latched: their pushes
         // only count the sample while they wait to fire or be suppressed
-        // below).
+        // below): a lane block's here, a session fleet's in the walk below,
+        // which reads each session's status as it goes.
         //
+        // A lane block reports whether any lane holds a commit. Without
+        // one, only uncommitted lanes that have consumed a full pattern
+        // length can retire, and the oldest lane is the longest: each lane
+        // has consumed the `now − anchor` samples since its anchor opened.
+        // So the block's statuses are walked only on a commit or when the
+        // oldest anchor expires.
+        if let Lanes::Block(b) = &mut self.lanes {
+            let committed = b.lanes.push(x);
+            let expired = |&anchor: &usize| self.now - anchor >= max_len;
+            if !committed && !self.anchors.first().is_some_and(expired) {
+                return None;
+            }
+        }
+        let quiet = t < self.quiet_until;
+
         // At most one alarm per sample: the oldest committed anchor fires,
         // if the monitor is outside its refractory period. Further anchors
         // committed at the same instant stay live and drain on subsequent
@@ -189,7 +214,6 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         // `visit` applies both rules to each lane, oldest first, and
         // compacts the anchor offsets in step. An offset is read only when
         // its anchor fires or a lane before it retired.
-        let max_len = self.clf.series_len();
         let anchors = &mut self.anchors;
         let mut fired: Option<Alarm> = None;
         let (mut lane, mut kept) = (0, 0);
@@ -220,7 +244,6 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         match &mut self.lanes {
             Lanes::Block(b) => {
                 let Block { lanes, keep } = &mut **b;
-                lanes.push(x);
                 keep.clear();
                 keep.extend(lanes.status().iter().map(visit));
                 if kept < keep.len() {
@@ -342,7 +365,8 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
     /// [`PersistError::Corrupt`] rather than silently changing alarm
     /// semantics, and so are anchors this configuration could not have
     /// opened: offsets off the stride grid, not strictly ascending, or not
-    /// below the snapshot's clock.
+    /// below the snapshot's clock, and lanes whose session has not consumed
+    /// exactly the samples since their anchor opened.
     pub fn resume_anchors(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         let mut dec = etsc_persist::open_envelope(bytes, MONITOR_STATE_KIND)?;
         let stride = dec.get_usize("monitor stride")?;
@@ -394,6 +418,23 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
             anchors.push(offset);
         }
         dec.finish()?;
+        // Every lane has consumed the samples since its anchor opened, and
+        // `push` retires lanes by that age.
+        let mut lane = 0;
+        let mut stray = None;
+        lanes.for_each_status(|s| {
+            let age = now - anchors[lane];
+            if s.len != age && stray.is_none() {
+                stray = Some((anchors[lane], s.len, age));
+            }
+            lane += 1;
+        });
+        if let Some((offset, len, age)) = stray {
+            return Err(PersistError::Corrupt(format!(
+                "monitor: the lane of anchor {offset} has consumed {len} samples, \
+                 not the {age} since it opened"
+            )));
+        }
         self.anchors = anchors;
         self.lanes = lanes;
         self.now = now;
@@ -441,7 +482,7 @@ enum Lanes<'a, C: EarlyClassifier + ?Sized> {
 }
 
 /// A model's lane block and its retirement flags, one per lane, reused
-/// every sample.
+/// by every walk.
 struct Block<'a> {
     lanes: Box<dyn DecisionLanes + 'a>,
     keep: Vec<bool>,
@@ -462,6 +503,17 @@ impl<'a, C: EarlyClassifier + ?Sized> Lanes<'a, C> {
         match self {
             Self::Block(b) => b.lanes.open(),
             Self::Sessions(sessions) => sessions.open(),
+        }
+    }
+
+    /// Call `f` with every lane's status, in lane order.
+    fn for_each_status(&mut self, mut f: impl FnMut(&LaneStatus)) {
+        match self {
+            Self::Block(b) => b.lanes.status().iter().for_each(f),
+            Self::Sessions(sessions) => sessions.retain(|s| {
+                f(s);
+                true
+            }),
         }
     }
 
@@ -927,20 +979,35 @@ mod tests {
     }
 
     /// Snapshot bytes for `PersistableDetector` under `cfg` (raw norm):
-    /// the monitor clock `now` and uncommitted anchors at `anchors`.
+    /// the monitor clock `now` and uncommitted anchors at `anchors`, each
+    /// with the samples since it opened.
     fn hand_snapshot(cfg: StreamMonitorConfig, now: usize, anchors: &[usize]) -> Vec<u8> {
+        let lanes: Vec<_> = anchors
+            .iter()
+            .map(|&a| (a, now.saturating_sub(a)))
+            .collect();
+        hand_snapshot_lens(cfg, now, &lanes)
+    }
+
+    /// As [`hand_snapshot`], with each anchor's session length given:
+    /// `(offset, len)` per lane.
+    fn hand_snapshot_lens(
+        cfg: StreamMonitorConfig,
+        now: usize,
+        lanes: &[(usize, usize)],
+    ) -> Vec<u8> {
         let mut enc = Encoder::new();
         enc.put_usize(cfg.anchor_stride);
         enc.put_u8(0);
         enc.put_usize(cfg.refractory);
         enc.put_usize(now);
         enc.put_usize(0);
-        enc.put_usize(anchors.len());
-        for &a in anchors {
+        enc.put_usize(lanes.len());
+        for &(a, len) in lanes {
             enc.put_usize(a);
             enc.section(|e| {
                 e.put_f64(0.0);
-                e.put_usize(now.saturating_sub(a));
+                e.put_usize(len);
                 e.put_bool(false);
             });
         }
@@ -967,6 +1034,12 @@ mod tests {
         assert!(corrupt(&hand_snapshot(cfg, 20, &[3])));
         assert!(corrupt(&hand_snapshot(cfg, 40, &[16, 17])));
         assert!(corrupt(&hand_snapshot(cfg, 40, &[32, 16])), "ascending");
+        // Each lane has consumed the samples since its anchor opened, which
+        // is the age `push` retires lanes by: a lane one sample longer (or
+        // shorter) is not one a monitor wrote.
+        assert!(corrupt(&hand_snapshot_lens(cfg, 40, &[(16, 25), (32, 8)])));
+        assert!(corrupt(&hand_snapshot_lens(cfg, 40, &[(16, 24), (32, 9)])));
+        assert!(corrupt(&hand_snapshot_lens(cfg, 40, &[(16, 24), (32, 7)])));
 
         // What a monitor could have written resumes.
         let mut mon = StreamMonitor::new(&clf, cfg);
@@ -980,6 +1053,9 @@ mod tests {
         assert_eq!(mon.live_anchors(), 1);
         // A rejected snapshot leaves the monitor as it was.
         assert!(mon.resume_anchors(&hand_snapshot(cfg, 20, &[3])).is_err());
+        assert_eq!(mon.live_anchors(), 1);
+        let longer = hand_snapshot_lens(cfg, 40, &[(16, 24), (32, 9)]);
+        assert!(mon.resume_anchors(&longer).is_err());
         assert_eq!(mon.live_anchors(), 1);
         assert_eq!(mon.snapshot_anchors().unwrap(), {
             let mut twin = StreamMonitor::new(&clf, cfg);

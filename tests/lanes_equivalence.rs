@@ -22,6 +22,7 @@ use etsc::early::{
 };
 use etsc::persist::{ModelRegistry, Persist};
 use etsc::serve::{Record, Runtime, RuntimeConfig, StreamAlarm};
+use etsc::stream::monitor::MONITOR_STATE_KIND;
 use etsc::stream::{Alarm, StreamMonitor, StreamMonitorConfig, StreamNorm};
 
 type Model = ProbThreshold<NearestCentroid>;
@@ -337,6 +338,86 @@ fn closing_an_anchor_in_its_commit_tick_matches() {
         }
         assert!(closed > 0, "{norm:?}: some close must hit a live anchor");
         assert_eq!(a.snapshot_anchors().unwrap(), b.snapshot_anchors().unwrap());
+    }
+}
+
+/// `snap`, a `snapshot_anchors` envelope of this model, with the session
+/// length of lane `lane` one sample longer, re-sealed. Every other byte is
+/// copied, so a `lane` past the last returns `snap` itself.
+fn lengthen_lane(snap: &[u8], lane: usize) -> Vec<u8> {
+    let mut dec = etsc::persist::open_envelope(snap, MONITOR_STATE_KIND).unwrap();
+    let mut enc = Encoder::new();
+    enc.put_usize(dec.get_usize("stride").unwrap());
+    enc.put_u8(dec.get_u8("norm").unwrap());
+    for field in ["refractory", "now", "quiet_until"] {
+        enc.put_usize(dec.get_usize(field).unwrap());
+    }
+    let n = dec.get_usize("anchor count").unwrap();
+    enc.put_usize(n);
+    for i in 0..n {
+        enc.put_usize(dec.get_usize("anchor offset").unwrap());
+        let mut session = dec.get_bytes("anchor session").unwrap();
+        if i == lane {
+            // A probability-threshold session: its tag and norm, the
+            // scorer's section, then the length.
+            let mut s = Decoder::new(&session);
+            s.get_u8("tag").unwrap();
+            s.get_u8("norm").unwrap();
+            let at = session.len() - s.remaining() + 8 + s.get_bytes("scorer").unwrap().len();
+            let len = s.get_u64("len").unwrap();
+            session[at..at + 8].copy_from_slice(&(len + 1).to_le_bytes());
+        }
+        enc.put_bytes(&session);
+    }
+    dec.finish().unwrap();
+    etsc::persist::envelope(MONITOR_STATE_KIND, &enc.into_bytes())
+}
+
+/// True if `mon` refuses `bytes` as corrupt and keeps its own snapshot.
+fn refuses<C: EarlyClassifier + ?Sized>(mon: &mut StreamMonitor<'_, C>, bytes: &[u8]) -> bool {
+    let before = mon.snapshot_anchors().unwrap();
+    let refused = matches!(mon.resume_anchors(bytes), Err(PersistError::Corrupt(_)));
+    refused && mon.snapshot_anchors().unwrap() == before
+}
+
+#[test]
+fn resume_refuses_a_lane_longer_than_its_anchor() {
+    let train = dataset(2, 40);
+    // A threshold few lanes reach, so that most anchors live to expire.
+    let model = ProbThreshold::new(NearestCentroid::fit(&train), 0.99, 40, 5);
+    let per_anchor = PerAnchor(model.clone());
+    let xs = stream(&train, 200, 9);
+    let cfg = StreamMonitorConfig {
+        anchor_stride: 7,
+        norm: StreamNorm::PerPrefix,
+        refractory: 0,
+    };
+    let mut mon = StreamMonitor::new(&model, cfg);
+    for &x in &xs[..100] {
+        mon.push(x);
+    }
+    let snap = mon.snapshot_anchors().unwrap();
+    let live = mon.live_anchors();
+    assert!(live >= 3, "{live} live anchors");
+    assert_eq!(lengthen_lane(&snap, live), snap, "the rewrite copies");
+    for lane in [0, live / 2, live - 1] {
+        let forged = lengthen_lane(&snap, lane);
+        assert_ne!(forged, snap);
+        // Refused as lanes and per anchor, by monitors with state of their
+        // own, which they keep.
+        let mut as_lanes = StreamMonitor::new(&model, cfg);
+        let mut per_anchors = StreamMonitor::new(&per_anchor, cfg);
+        for &x in &xs[100..130] {
+            as_lanes.push(x);
+            per_anchors.push(x);
+        }
+        assert!(refuses(&mut as_lanes, &forged), "lane {lane} as lanes");
+        assert!(refuses(&mut per_anchors, &forged), "lane {lane} per anchor");
+        // The snapshot it was forged from resumes on both paths.
+        as_lanes.resume_anchors(&snap).unwrap();
+        per_anchors.resume_anchors(&snap).unwrap();
+        assert_eq!(as_lanes.live_anchors(), live);
+        assert_eq!(per_anchors.live_anchors(), live);
     }
 }
 
