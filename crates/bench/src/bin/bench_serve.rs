@@ -18,15 +18,20 @@
 //! * **checkpoint pause**: p99 of the runtime's checkpoint-pause
 //!   histogram over the run's periodic checkpoints, and the envelope
 //!   size; and
-//! * **instrumentation overhead**: median-of-5 interleaved A/B of
-//!   pushes/s with the runtime clock disabled vs monotonic — the cost of
-//!   leaving telemetry on, which the 1-in-64 push sampling is designed to
-//!   keep under 5%; and
-//! * **tracing overhead**: the same interleaved A/B with a *disabled*
-//!   tracer against a *recording* one, every batch carrying a wire
-//!   [`TraceContext`] so the full span chain (`ShardEnqueue` →
-//!   `ShardDrain` → `AlarmEmit`) records in the hot path — held to the
-//!   same 5% budget.
+//! * **instrumentation overhead**: an A/B of pushes/s with the runtime
+//!   clock disabled vs monotonic — the cost of leaving telemetry on, which
+//!   the 1-in-64 push sampling is designed to keep under 5%; and
+//! * **tracing overhead**: the same A/B with a *disabled* tracer against a
+//!   *recording* one, every batch carrying a wire [`TraceContext`] so the
+//!   full span chain (`ShardEnqueue` → `ShardDrain` → `AlarmEmit`) records
+//!   in the hot path — held to the same 5% budget.
+//!
+//! Each overhead is measured over [`PAIRS`] alternating pairs (the arm
+//! that runs first alternates, so slow host drift hits both arms alike)
+//! and reported as the median and interquartile range of the per-pair
+//! percentages. Both arms run the workload the budgets apply to: 64
+//! streams on 2 shards, drained on the default worker count, with the
+//! periodic checkpoints.
 //!
 //! Writes `BENCH_serve.json` into the current directory.
 //!
@@ -46,7 +51,7 @@ use etsc_core::trace::{TraceContext, Tracer, TracerConfig};
 use etsc_core::UcrDataset;
 use etsc_early::threshold::ProbThreshold;
 use etsc_persist::ModelRegistry;
-use etsc_serve::{Record, Runtime, RuntimeConfig};
+use etsc_serve::{IngestMeta, Record, Runtime, RuntimeConfig};
 use etsc_stream::{StreamMonitorConfig, StreamNorm};
 
 /// Training exemplar length — also each monitor's anchor horizon.
@@ -130,16 +135,12 @@ fn bench_one(
         for k in 0..streams {
             batch.push(Record::new(k as u64, sample(k, t)));
         }
-        if with_ctx {
-            let ctx = TraceContext {
-                trace_id: (t + 1) as u64,
-                parent_span: 0,
-            };
-            rt.ingest_ctx(&batch, Some(ctx))
-                .expect("bench queues are sized to fit");
-        } else {
-            rt.ingest(&batch).expect("bench queues are sized to fit");
-        }
+        let ctx = with_ctx.then_some(TraceContext {
+            trace_id: (t + 1) as u64,
+            parent_span: 0,
+        });
+        rt.ingest_with(&batch, IngestMeta { tag: None, ctx })
+            .expect("bench queues are sized to fit");
         if (t + 1) % CYCLE == 0 {
             alarms += rt.drain().len() as u64;
             cycle += 1;
@@ -168,80 +169,45 @@ fn bench_one(
     }
 }
 
-/// Median of an interleaved A/B: 5 runs with the clock disabled against 5
-/// with it monotonic, alternating so thermal / cache drift hits both arms
-/// equally. Returns the percent throughput lost to instrumentation
-/// (negative = the instrumented arm happened to measure faster).
-fn instrumentation_overhead_pct(
-    model: &ProbThreshold<NearestCentroid>,
-    registry: &ModelRegistry,
-    rounds: usize,
-) -> f64 {
-    let mut off = Vec::with_capacity(5);
-    let mut on = Vec::with_capacity(5);
-    for _ in 0..5 {
-        off.push(bench_one(model, 64, 2, rounds, registry, Clock::disabled(), None).pushes_per_sec);
-        on.push(bench_one(model, 64, 2, rounds, registry, Clock::monotonic(), None).pushes_per_sec);
-    }
-    overhead_pct_of(&mut off, &mut on)
-}
+/// Alternating pairs in each overhead A/B. A run lasts ~20 ms, and with
+/// its drains on two workers one pair's percentage can land ten points
+/// from the next (on 2 vCPUs the per-pair IQR reads 9–16% when the host
+/// is quiet), so it takes this many pairs to pin the median to within a
+/// percent or so.
+const PAIRS: usize = 200;
 
-/// Median of an interleaved A/B of the distributed-tracing path: 5 runs
-/// with a **disabled** tracer (every span/event call short-circuits)
-/// against 5 with a **recording** one, both arms ingesting with a wire
-/// `TraceContext` so the full `ShardEnqueue` → `ShardDrain` → `AlarmEmit`
-/// chain is exercised. Returns the percent throughput lost to recording,
-/// held to the same 5% budget as telemetry.
-fn tracing_overhead_pct(
-    model: &ProbThreshold<NearestCentroid>,
-    registry: &ModelRegistry,
-    rounds: usize,
-) -> f64 {
-    let mut off = Vec::with_capacity(5);
-    let mut on = Vec::with_capacity(5);
-    for _ in 0..5 {
-        let disabled = Tracer::new(TracerConfig {
-            clock: Clock::disabled(),
-            ..TracerConfig::default()
-        });
-        off.push(
-            bench_one(
-                model,
-                64,
-                2,
-                rounds,
-                registry,
-                Clock::monotonic(),
-                Some(disabled),
-            )
-            .pushes_per_sec,
-        );
-        let recording = Tracer::new(TracerConfig::default());
-        on.push(
-            bench_one(
-                model,
-                64,
-                2,
-                rounds,
-                registry,
-                Clock::monotonic(),
-                Some(recording),
-            )
-            .pushes_per_sec,
-        );
-    }
-    overhead_pct_of(&mut off, &mut on)
-}
-
-/// Percent throughput the `on` arm loses to the `off` arm, median vs
-/// median (negative = the instrumented arm happened to measure faster).
-fn overhead_pct_of(off: &mut Vec<f64>, on: &mut Vec<f64>) -> f64 {
-    let median = |xs: &mut Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
+/// Median and interquartile range of the percent throughput the `on` arm
+/// of `run` loses to the `off` arm, per pair, over [`PAIRS`] alternating
+/// pairs (negative = the instrumented arm happened to measure faster).
+fn overhead_pct(mut run: impl FnMut(bool) -> f64) -> (f64, f64) {
+    let mut pcts: Vec<f64> = (0..PAIRS)
+        .map(|pair| {
+            let (off, on) = if pair % 2 == 0 {
+                let off = run(false);
+                (off, run(true))
+            } else {
+                let on = run(true);
+                (run(false), on)
+            };
+            (off - on) / off * 100.0
+        })
+        .collect();
+    pcts.sort_by(f64::total_cmp);
+    let quantile = |q: f64| {
+        let at = (PAIRS - 1) as f64 * q;
+        let (lo, hi) = (pcts[at.floor() as usize], pcts[at.ceil() as usize]);
+        lo + (hi - lo) * at.fract()
     };
-    let (off_med, on_med) = (median(off), median(on));
-    (off_med - on_med) / off_med * 100.0
+    (quantile(0.5), quantile(0.75) - quantile(0.25))
+}
+
+/// A clock that is on or off, for one arm of an overhead A/B.
+fn clock(on: bool) -> Clock {
+    if on {
+        Clock::monotonic()
+    } else {
+        Clock::disabled()
+    }
 }
 
 fn main() {
@@ -290,18 +256,38 @@ fn main() {
         }
     }
 
+    // The tracing A/B runs its runtime clock on, so only the tracer
+    // differs.
     let overhead_rounds = if quick { 256 } else { 768 };
-    let overhead_pct = instrumentation_overhead_pct(&model, &registry, overhead_rounds);
-    println!(
-        "  instrumentation overhead (disabled vs monotonic clock, median of 5): {overhead_pct:+.2}%"
-    );
-    if overhead_pct >= 5.0 {
-        println!("  WARNING: telemetry overhead is at or above the 5% budget");
-    }
-    let trace_pct = tracing_overhead_pct(&model, &registry, overhead_rounds);
-    println!("  tracing overhead (disabled vs recording tracer, median of 5): {trace_pct:+.2}%");
-    if trace_pct >= 5.0 {
-        println!("  WARNING: tracing overhead is at or above the 5% budget");
+    let run = |clock: Clock, tracer: Option<Tracer>| {
+        bench_one(&model, 64, 2, overhead_rounds, &registry, clock, tracer).pushes_per_sec
+    };
+    let overheads = [
+        (
+            "instrumentation",
+            "disabled vs monotonic clock",
+            overhead_pct(|on| run(clock(on), None)),
+        ),
+        (
+            "tracing",
+            "disabled vs recording tracer",
+            overhead_pct(|on| {
+                let tracer = Tracer::new(TracerConfig {
+                    clock: clock(on),
+                    ..TracerConfig::default()
+                });
+                run(Clock::monotonic(), Some(tracer))
+            }),
+        ),
+    ];
+    for (name, arms, (median, iqr)) in overheads {
+        println!(
+            "  {name} overhead ({arms}, {PAIRS} alternating pairs): median {median:+.2}%, \
+             IQR {iqr:.2}%"
+        );
+        if median >= 5.0 {
+            println!("  WARNING: {name} overhead is at or above the 5% budget");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -311,11 +297,12 @@ fn main() {
     let _ = writeln!(json, "  \"anchor_stride\": {STRIDE},");
     let _ = writeln!(json, "  \"batches_per_cycle\": {CYCLE},");
     let _ = writeln!(json, "  \"checkpoints_per_run\": {CHECKPOINTS},");
-    let _ = writeln!(
-        json,
-        "  \"instrumentation_overhead_pct\": {overhead_pct:.2},"
-    );
-    let _ = writeln!(json, "  \"tracing_overhead_pct\": {trace_pct:.2},");
+    for (name, _, (median, iqr)) in overheads {
+        let _ = writeln!(
+            json,
+            "  \"{name}_overhead_pct\": {{\"median\": {median:.2}, \"iqr\": {iqr:.2}, \"pairs\": {PAIRS}}},"
+        );
+    }
     let _ = writeln!(json, "  \"results\": [");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(

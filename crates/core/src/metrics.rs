@@ -18,11 +18,12 @@
 //!   ambient clocks; the two `#[expect]`ed exceptions in library code
 //!   are [`clock`] and the trace exporter's export stamp
 //!   ([`crate::trace::export`]).
-//! * **One exposition dialect.** [`push_scalar`], [`push_histogram`], and
-//!   [`push_histogram_series`] are the only code that formats Prometheus
-//!   text (version 0.0.4); `etsc-serve` and `etsc-net` both delegate here,
-//!   so `_bucket`/`_sum`/`_count` and `# HELP`/`# TYPE` stay
-//!   format-identical across every layer.
+//! * **One exposition dialect.** [`push_scalar_series`] and
+//!   [`push_histogram_series`], and the unlabelled [`push_counter`],
+//!   [`push_gauge`] and [`push_histogram`] over them, are the only code
+//!   that formats Prometheus text (version 0.0.4); `etsc-serve` and
+//!   `etsc-net` both render through them, so `_bucket`/`_sum`/`_count` and
+//!   `# HELP`/`# TYPE` stay format-identical across every layer.
 //!
 //! Histogram exposition is cumulative, as Prometheus requires: each
 //! `_bucket{le="N"}` sample counts observations ≤ N, bucket lines stop at
@@ -95,15 +96,37 @@ impl Gauge {
     }
 }
 
-/// Append one scalar metric — a `# HELP`/`# TYPE` preamble plus an
-/// unlabelled sample — in Prometheus text exposition format. `kind` is
-/// the exposition type (`"counter"` or `"gauge"`). The single formatting
-/// path behind `etsc-serve`'s `push_counter`/`push_gauge` and everything
-/// that renders through them.
-pub fn push_scalar(out: &mut String, name: &str, help: &str, kind: &str, value: u64) {
+/// Append one unlabelled counter in Prometheus text exposition format.
+pub fn push_counter(out: &mut String, name: &str, help: &str, value: u64) {
+    push_scalar_series(out, name, help, "counter", &[("", value)]);
+}
+
+/// Append one unlabelled gauge in Prometheus text exposition format.
+pub fn push_gauge(out: &mut String, name: &str, help: &str, value: u64) {
+    push_scalar_series(out, name, help, "gauge", &[("", value)]);
+}
+
+/// Append one scalar family — a `# HELP`/`# TYPE` preamble, then one
+/// sample per series — in Prometheus text exposition format. `kind` is
+/// the exposition type (`"counter"` or `"gauge"`); each series is
+/// `(labels, value)`, with `labels` empty or pre-rendered as in
+/// [`push_histogram_series`].
+pub fn push_scalar_series(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: &str,
+    series: &[(&str, u64)],
+) {
     let _ = writeln!(out, "# HELP {name} {help}");
     let _ = writeln!(out, "# TYPE {name} {kind}");
-    let _ = writeln!(out, "{name} {value}");
+    for (labels, value) in series {
+        if labels.is_empty() {
+            let _ = writeln!(out, "{name} {value}");
+        } else {
+            let _ = writeln!(out, "{name}{{{labels}}} {value}");
+        }
+    }
 }
 
 /// Append one unlabelled histogram family (`_bucket` lines with

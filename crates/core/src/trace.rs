@@ -18,6 +18,9 @@
 //!   events (failovers, fault injections, retries, migrations,
 //!   checkpoints, queue-full rejections), rendered as text or JSON lines.
 //! * [`export`] — Chrome `trace_event` JSON export for span sets.
+//! * [`scope`] — the [`Scope`] every layer times and traces a region of
+//!   work through: a histogram observation, a span, and events, each
+//!   skipped when its clock is disabled.
 //!
 //! # Determinism contract
 //!
@@ -33,37 +36,42 @@
 //!
 //! A [`Tracer`] is a cheap-to-clone shared handle (clones share the ring,
 //! the event log, and the id counter), so one tracer can be handed to a
-//! runtime, its node, and a supervisor and every span lands in one buffer:
+//! runtime, its node, and a supervisor and every span lands in one buffer.
+//! Work is traced, and timed into a histogram if asked, through a
+//! [`Scope`]:
 //!
 //! ```
-//! use etsc_core::metrics::Clock;
-//! use etsc_core::trace::{SpanKind, Tracer, TracerConfig};
+//! use etsc_core::metrics::{Clock, Histogram};
+//! use etsc_core::trace::{Scope, SpanKind, Tracer, TracerConfig};
 //!
 //! let clock = Clock::manual();
 //! let tracer = Tracer::new(TracerConfig {
 //!     clock: clock.clone(),
 //!     ..TracerConfig::default()
 //! });
+//! let latency = Histogram::new();
 //!
-//! // A root span and a child under it.
-//! let trace_id = tracer.new_trace_id();
-//! let t0 = tracer.start();
-//! clock.advance_ns(500);
-//! let root = tracer.span(SpanKind::ClientIngest, trace_id, 0, t0, 0);
-//! let t1 = tracer.start();
+//! // A root span and a child under it: the child parents to the root's
+//! // id before the root's span is recorded.
+//! let mut root = Scope::root(Some(&tracer), SpanKind::ClientIngest).timed(&clock);
+//! let ctx = root.ctx();
+//! clock.advance_ns(300);
+//! let child = Scope::child(Some(&tracer), ctx, SpanKind::ShardEnqueue);
 //! clock.advance_ns(200);
-//! tracer.span(SpanKind::ShardEnqueue, trace_id, root, t1, 42);
+//! child.finish(42, None);
+//! root.finish(0, Some(&latency));
 //!
 //! let spans = tracer.spans();
-//! assert_eq!(spans.len(), 2);
-//! assert_eq!(spans[1].parent_id, root);
-//! assert_eq!(spans[1].dur_ns, 200);
+//! assert_eq!(Some(spans[0].parent_id), ctx.map(|c| c.parent_span));
+//! assert_eq!((spans[0].dur_ns, spans[1].dur_ns), (200, 500));
+//! assert_eq!(latency.snapshot().sum, 500);
 //! ```
 
 pub mod context;
 pub mod event;
 pub mod export;
 pub mod ring;
+pub mod scope;
 pub mod span;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,6 +82,7 @@ use crate::metrics::Clock;
 pub use context::TraceContext;
 pub use event::{Event, EventKind, EventLog, Severity};
 pub use ring::SpanRing;
+pub use scope::Scope;
 pub use span::{Span, SpanKind};
 
 /// Construction parameters for a [`Tracer`].
@@ -163,56 +172,16 @@ impl Tracer {
         self.inner.clock.now_ns()
     }
 
-    /// Allocate a fresh trace id from the deterministic counter (same
-    /// sequence as span ids — both are unique, nonzero, and monotone).
-    pub fn new_trace_id(&self) -> u64 {
-        self.next_id()
-    }
-
-    /// Pre-allocate a span id (0 when disabled) so it can be propagated —
-    /// e.g. as a wire [`TraceContext`]'s parent — before the span itself
-    /// is recorded with [`span_with_id`](Self::span_with_id) once its
-    /// duration is known.
-    pub fn alloc_span_id(&self) -> u64 {
-        if !self.enabled() {
-            return 0;
-        }
-        self.next_id()
-    }
-
-    /// Record a span under an id from [`alloc_span_id`](Self::alloc_span_id),
-    /// ending now. No-op when disabled or when `span_id` is 0 (the
-    /// disabled-allocation sentinel), so the two calls compose without the
-    /// caller re-checking enablement.
-    pub fn span_with_id(
-        &self,
-        span_id: u64,
-        kind: SpanKind,
-        trace_id: u64,
-        parent_id: u64,
-        start_ns: u64,
-        arg: u64,
-    ) {
-        if !self.enabled() || span_id == 0 {
-            return;
-        }
-        let end_ns = self.inner.clock.now_ns();
-        self.inner.spans.record(
-            Span {
-                trace_id,
-                span_id,
-                parent_id,
-                kind,
-                start_ns,
-                dur_ns: end_ns.saturating_sub(start_ns),
-                arg,
-            }
-            .pack(),
-        );
-    }
-
+    /// The next id from the deterministic counter that both trace and span
+    /// ids come from (unique, nonzero, monotone). A [`Scope`] takes its
+    /// span's id here before the span is recorded, so its work can parent
+    /// to it.
     fn next_id(&self) -> u64 {
         self.inner.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn record(&self, span: Span) {
+        self.inner.spans.record(span.pack());
     }
 
     /// Record a span that started at `start_ns` (from [`start`](Self::start))
@@ -226,9 +195,6 @@ impl Tracer {
         start_ns: u64,
         arg: u64,
     ) -> u64 {
-        if !self.enabled() {
-            return 0;
-        }
         let end = self.inner.clock.now_ns();
         self.span_at(kind, trace_id, parent_id, start_ns, end, arg)
     }
@@ -248,18 +214,15 @@ impl Tracer {
             return 0;
         }
         let span_id = self.next_id();
-        self.inner.spans.record(
-            Span {
-                trace_id,
-                span_id,
-                parent_id,
-                kind,
-                start_ns,
-                dur_ns: end_ns.saturating_sub(start_ns),
-                arg,
-            }
-            .pack(),
-        );
+        self.record(Span {
+            trace_id,
+            span_id,
+            parent_id,
+            kind,
+            start_ns,
+            dur_ns: end_ns.saturating_sub(start_ns),
+            arg,
+        });
         span_id
     }
 
@@ -347,7 +310,7 @@ mod tests {
             ..TracerConfig::default()
         });
         let twin = tracer.clone();
-        let trace = tracer.new_trace_id();
+        let trace = tracer.next_id();
         assert_eq!(trace, 100);
         let t0 = twin.start();
         clock.advance_ns(50);
@@ -361,44 +324,12 @@ mod tests {
     }
 
     #[test]
-    fn preallocated_span_ids_record_later_and_disable_cleanly() {
-        let clock = Clock::manual();
-        let tracer = Tracer::new(TracerConfig {
-            clock: clock.clone(),
-            ..TracerConfig::default()
-        });
-        let trace = tracer.new_trace_id();
-        let id = tracer.alloc_span_id();
-        assert_ne!(id, 0);
-        let t0 = tracer.start();
-        clock.advance_ns(30);
-        // The child can reference the parent id before the parent span is
-        // recorded — that is the whole point of pre-allocation.
-        let child = tracer.span(SpanKind::ShardEnqueue, trace, id, t0, 0);
-        tracer.span_with_id(id, SpanKind::NodeIngest, trace, 0, t0, 9);
-        let spans = tracer.spans();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().any(|s| s.span_id == id && s.dur_ns == 30));
-        assert!(spans
-            .iter()
-            .any(|s| s.span_id == child && s.parent_id == id));
-
-        let off = Tracer::new(TracerConfig {
-            clock: Clock::disabled(),
-            ..TracerConfig::default()
-        });
-        assert_eq!(off.alloc_span_id(), 0);
-        off.span_with_id(0, SpanKind::NodeIngest, 1, 0, 0, 0);
-        assert!(off.spans().is_empty());
-    }
-
-    #[test]
     fn id_seed_zero_still_hands_out_nonzero_ids() {
         let tracer = Tracer::new(TracerConfig {
             id_seed: 0,
             ..TracerConfig::default()
         });
-        assert_eq!(tracer.new_trace_id(), 1);
+        assert_eq!(tracer.next_id(), 1);
     }
 
     #[test]
@@ -409,7 +340,7 @@ mod tests {
             clock: clock.clone(),
             ..TracerConfig::default()
         });
-        let trace = tracer.new_trace_id();
+        let trace = tracer.next_id();
         for shard in 0..5u64 {
             let t0 = tracer.start();
             clock.advance_ns(10);

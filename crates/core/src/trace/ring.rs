@@ -10,6 +10,11 @@
 //! when it lands. Readers snapshot without blocking writers — a slot whose
 //! version is odd, or changes between the first and second read, is simply
 //! skipped as in-flight. Nothing ever waits.
+//! The payload words are relaxed: the writer's release fence, after its
+//! acquiring claim CAS, pairs with the reader's acquire fence, after its
+//! payload loads, so a reader that saw any new word re-reads a changed
+//! version; the even version is a release store the reader's first load
+//! acquires. A write costs its claim and CAS, not a locked store a word.
 //!
 //! Overwriting is the drop policy: once the ring wraps, each new span
 //! evicts the oldest surviving one, and the eviction is counted, so
@@ -24,7 +29,7 @@
 //! concurrent interleaving is a skipped slot in a snapshot, never undefined
 //! behavior.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Number of payload words a slot carries; [`SpanRing`] stores anything
 /// that packs into this many `u64`s (spans use 7, events pack into 4 and
@@ -90,34 +95,37 @@ impl SpanRing {
     /// sequence, one CAS to claim the slot; on CAS failure the record is
     /// counted dropped instead of waiting.
     pub fn record(&self, words: [u64; SLOT_WORDS]) {
-        let seq = self.head.fetch_add(1, Ordering::SeqCst);
+        let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let Some(slot) = self.slots.get((seq & self.mask) as usize) else {
             return; // unreachable: mask < len
         };
-        let ver = slot.ver.load(Ordering::SeqCst);
+        let ver = slot.ver.load(Ordering::Relaxed);
         if ver & 1 == 1
             || slot
                 .ver
-                .compare_exchange(ver, ver + 1, Ordering::SeqCst, Ordering::SeqCst)
+                .compare_exchange(ver, ver + 1, Ordering::Acquire, Ordering::Relaxed)
                 .is_err()
         {
-            self.contended.fetch_add(1, Ordering::SeqCst);
+            self.contended.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // A reader that sees any payload word below also sees the odd
+        // version, so it never takes a half-written slot for a stable one.
+        fence(Ordering::Release);
         if ver > 0 {
             // The slot held a stable older record; this write evicts it.
-            self.overwritten.fetch_add(1, Ordering::SeqCst);
+            self.overwritten.fetch_add(1, Ordering::Relaxed);
         }
-        slot.seq.store(seq, Ordering::SeqCst);
+        slot.seq.store(seq, Ordering::Relaxed);
         for (w, v) in slot.words.iter().zip(words) {
-            w.store(v, Ordering::SeqCst);
+            w.store(v, Ordering::Relaxed);
         }
-        slot.ver.store(ver + 2, Ordering::SeqCst);
+        slot.ver.store(ver + 2, Ordering::Release);
     }
 
     /// Total records ever claimed by `record` calls.
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::SeqCst)
+        self.head.load(Ordering::Relaxed)
     }
 
     /// Records no longer retrievable: evicted by drop-oldest overwrite
@@ -125,8 +133,8 @@ impl SpanRing {
     /// `recorded() == snapshot().len() as u64 + dropped()`.
     pub fn dropped(&self) -> u64 {
         self.overwritten
-            .load(Ordering::SeqCst)
-            .saturating_add(self.contended.load(Ordering::SeqCst))
+            .load(Ordering::Relaxed)
+            .saturating_add(self.contended.load(Ordering::Relaxed))
     }
 
     /// Collect every stable record, oldest first (by claim sequence).
@@ -134,16 +142,17 @@ impl SpanRing {
     pub fn snapshot(&self) -> Vec<(u64, [u64; SLOT_WORDS])> {
         let mut out = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
-            let v1 = slot.ver.load(Ordering::SeqCst);
+            let v1 = slot.ver.load(Ordering::Acquire);
             if v1 == 0 || v1 & 1 == 1 {
                 continue; // never written, or write in flight
             }
-            let seq = slot.seq.load(Ordering::SeqCst);
+            let seq = slot.seq.load(Ordering::Relaxed);
             let mut words = [0u64; SLOT_WORDS];
             for (w, v) in words.iter_mut().zip(&slot.words) {
-                *w = v.load(Ordering::SeqCst);
+                *w = v.load(Ordering::Relaxed);
             }
-            if slot.ver.load(Ordering::SeqCst) != v1 {
+            fence(Ordering::Acquire);
+            if slot.ver.load(Ordering::Relaxed) != v1 {
                 continue; // torn by a concurrent overwrite
             }
             out.push((seq, words));

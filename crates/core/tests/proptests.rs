@@ -8,7 +8,7 @@ use etsc_core::nn::{distance_profile, distance_profile_naive, BatchProfile};
 use etsc_core::parallel;
 use etsc_core::stats::{mean, mean_std, std_dev, RunningStats};
 use etsc_core::trace::ring::{merge_snapshots, SLOT_WORDS};
-use etsc_core::trace::{SpanRing, Tracer, TracerConfig};
+use etsc_core::trace::{Scope, SpanKind, SpanRing, Tracer, TracerConfig};
 use etsc_core::znorm::{is_znormalized, znormalize, CONSTANT_EPS};
 use proptest::prelude::*;
 
@@ -506,7 +506,10 @@ proptest! {
                         let tracer = tracer.clone();
                         s.spawn(move || {
                             (0..per_thread)
-                                .map(|_| tracer.alloc_span_id())
+                                .map(|_| {
+                                    let mut root = Scope::root(Some(&tracer), SpanKind::ClientIngest);
+                                    root.ctx().map_or(0, |ctx| ctx.parent_span)
+                                })
                                 .collect::<Vec<u64>>()
                         })
                     })

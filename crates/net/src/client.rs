@@ -47,7 +47,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use etsc_core::metrics::{Clock, Histogram, HistogramSnapshot};
-use etsc_core::trace::{EventKind, Severity, SpanKind, TraceContext, Tracer};
+use etsc_core::trace::{EventKind, Scope, Severity, SpanKind, TraceContext, Tracer};
 use etsc_serve::{Record, StreamAlarm, StreamService};
 
 use crate::error::WireError;
@@ -369,7 +369,7 @@ impl NetClient {
                 .unwrap_or_else(|| self.cfg.retry.backoff(retries_done, &mut self.rng));
             let delay_ns = u64::try_from(delay.as_nanos()).unwrap_or(u64::MAX);
             self.backoff_ns.record(delay_ns);
-            if let Some(t) = self.cfg.tracer.as_ref().filter(|t| t.enabled()) {
+            if let Some(t) = &self.cfg.tracer {
                 let code = req.slot.unwrap_or(0) as u64;
                 t.event(
                     Severity::Warn,
@@ -419,43 +419,19 @@ impl NetClient {
     /// is not consumed; re-sending the same records later reuses it, and
     /// the node's cursor still dedups against the original.
     pub fn ingest(&mut self, batch: &[Record]) -> Result<(), WireError> {
-        // With a live tracer and no caller-supplied context, this ingest
-        // opens its own trace: a ClientIngest root whose id rides the
-        // batch so every downstream span (node, shard, alarm) chains back
-        // to this call site.
-        let root = match self.cfg.tracer.as_ref().filter(|t| t.enabled()) {
-            Some(t) => {
-                let tracer = t.clone();
-                let trace_id = tracer.new_trace_id();
-                let span_id = tracer.alloc_span_id();
-                let started = tracer.start();
-                Some((tracer, trace_id, span_id, started))
-            }
-            None => None,
-        };
-        let ctx = root.as_ref().map(|(_, trace_id, span_id, _)| TraceContext {
-            trace_id: *trace_id,
-            parent_span: *span_id,
-        });
-        let result = self.ingest_ctx(batch, ctx);
-        if let Some((tracer, trace_id, span_id, started)) = root {
-            tracer.span_with_id(
-                span_id,
-                SpanKind::ClientIngest,
-                trace_id,
-                0,
-                started,
-                batch.len() as u64,
-            );
-        }
+        // With a live tracer, this ingest opens its own trace: a
+        // ClientIngest root whose context rides the batch, so every
+        // downstream span (node, shard, alarm) chains back to this call.
+        let mut root = Scope::root(self.cfg.tracer.as_ref(), SpanKind::ClientIngest);
+        let result = self.ingest_ctx(batch, root.ctx());
+        root.finish(batch.len() as u64, None);
         result
     }
 
     /// [`ingest`](Self::ingest) under a caller-supplied [`TraceContext`]
-    /// (or none). The cluster fan-out path uses this to parent every
-    /// node-bound sub-batch to one cluster-level root span instead of
-    /// opening a fresh trace per node.
-    pub fn ingest_ctx(
+    /// (or none), opening no trace of its own: a stashed cluster sub-batch
+    /// is redelivered inside the trace it was first sent in.
+    pub(crate) fn ingest_ctx(
         &mut self,
         batch: &[Record],
         ctx: Option<TraceContext>,

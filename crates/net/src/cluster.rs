@@ -21,9 +21,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use etsc_core::hash;
-use etsc_core::metrics::{push_histogram, HistogramSnapshot};
-use etsc_core::trace::{EventKind, Severity, SpanKind, TraceContext, Tracer};
-use etsc_serve::stats::{push_counter, push_gauge};
+use etsc_core::metrics::{push_counter, push_gauge, push_histogram, HistogramSnapshot};
+use etsc_core::trace::{EventKind, Scope, Severity, SpanKind, TraceContext, Tracer};
 use etsc_serve::{Record, StreamAlarm, StreamService};
 
 use crate::client::{ClientConfig, NetClient, Request, Sent};
@@ -171,10 +170,6 @@ struct PendingBatch {
     ctx: Option<TraceContext>,
 }
 
-/// An open `ClientSend` span: the tracer, the context it was opened under,
-/// its id, and its start.
-type SendSpan = (Tracer, TraceContext, u64, u64);
-
 /// One node's share of a fan-out between the scatter and the gather.
 enum Leg {
     /// Held back behind the node's stashed batches: never sent, and
@@ -187,9 +182,8 @@ enum Leg {
         node: usize,
         req: Request,
         sent: Result<Sent, WireError>,
-        /// The context the sub-batch travels under.
-        ctx: Option<TraceContext>,
-        span: Option<SendSpan>,
+        /// The `ClientSend` scope; its context is the sub-batch's.
+        scope: Scope,
     },
 }
 
@@ -225,11 +219,10 @@ pub struct Cluster {
     /// The cluster-side tracer (shared with every client via the cloned
     /// [`ClientConfig`]); `None` runs fully untraced.
     tracer: Option<Tracer>,
-    /// `(trace_id, root span id)` of the most recent traced ingest —
-    /// migration and failover-redelivery spans parent here, so cross-node
-    /// topology changes show up inside the trace of the ingest they
-    /// affected.
-    last_trace: Option<(u64, u64)>,
+    /// The root context of the most recent traced ingest — migration and
+    /// failover-redelivery spans parent here, so cross-node topology
+    /// changes show up inside the trace of the ingest they affected.
+    last_trace: Option<TraceContext>,
 }
 
 impl Cluster {
@@ -338,6 +331,13 @@ impl Cluster {
         &mut self.clients[node]
     }
 
+    /// The clients of the nodes not declared down, in node order.
+    fn live_clients(&mut self) -> impl Iterator<Item = &mut NetClient> {
+        let router = &self.router;
+        let clients = self.clients.iter_mut().enumerate();
+        clients.filter_map(move |(node, c)| (!router.is_down(node)).then_some(c))
+    }
+
     /// Open `stream` on the node the router assigns it to.
     pub fn open_stream(&mut self, stream: u64) -> Result<bool, WireError> {
         let node = self.router.route(stream);
@@ -375,35 +375,14 @@ impl Cluster {
     pub fn ingest(&mut self, batch: &[Record]) -> Result<(), WireError> {
         // With a live tracer, every cluster ingest opens one trace: a
         // ClientIngest root, one ClientSend child per node-bound
-        // sub-batch, and whatever the nodes add downstream. The root's id
-        // pair is remembered so later migrations and failover
+        // sub-batch, and whatever the nodes add downstream. The root's
+        // context is remembered so later migrations and failover
         // redeliveries can join the same trace.
-        let root = match self.tracer.as_ref().filter(|t| t.enabled()) {
-            Some(t) => {
-                let tracer = t.clone();
-                let trace_id = tracer.new_trace_id();
-                let span_id = tracer.alloc_span_id();
-                let started = tracer.start();
-                self.last_trace = Some((trace_id, span_id));
-                Some((tracer, trace_id, span_id, started))
-            }
-            None => None,
-        };
-        let ctx = root.as_ref().map(|(_, trace_id, span_id, _)| TraceContext {
-            trace_id: *trace_id,
-            parent_span: *span_id,
-        });
+        let mut root = Scope::root(self.tracer.as_ref(), SpanKind::ClientIngest);
+        let ctx = root.ctx();
+        self.last_trace = ctx.or(self.last_trace);
         let result = self.ingest_fanout(batch, ctx);
-        if let Some((tracer, trace_id, span_id, started)) = root {
-            tracer.span_with_id(
-                span_id,
-                SpanKind::ClientIngest,
-                trace_id,
-                0,
-                started,
-                batch.len() as u64,
-            );
-        }
+        root.finish(batch.len() as u64, None);
         result
     }
 
@@ -427,7 +406,6 @@ impl Cluster {
             let node = self.router.route(r.stream);
             self.part(node).push(*r);
         }
-        let tracer = self.tracer.as_ref().filter(|t| t.enabled()).cloned();
         let mut legs = Vec::new();
         let nodes = self.clients.iter_mut().zip(&self.parts).enumerate();
         for (node, (client, part)) in nodes.filter(|(_, (_, part))| !part.is_empty()) {
@@ -439,28 +417,14 @@ impl Cluster {
                 legs.push(Leg::Queued { node, seq });
                 continue;
             }
-            let span = match (&tracer, ctx) {
-                (Some(t), Some(ctx)) => {
-                    let id = t.alloc_span_id();
-                    Some((t.clone(), ctx, id, t.start()))
-                }
-                _ => None,
-            };
-            let send_ctx = match &span {
-                Some((_, ctx, id, _)) => Some(TraceContext {
-                    trace_id: ctx.trace_id,
-                    parent_span: *id,
-                }),
-                None => ctx,
-            };
-            let req = client.ingest_request(part, send_ctx);
+            let mut scope = Scope::child(self.tracer.as_ref(), ctx, SpanKind::ClientSend);
+            let req = client.ingest_request(part, scope.ctx());
             let sent = client.send(&req);
             legs.push(Leg::Written {
                 node,
                 req,
                 sent,
-                ctx: send_ctx,
-                span,
+                scope,
             });
         }
         for leg in legs {
@@ -480,23 +444,14 @@ impl Cluster {
                     node,
                     req,
                     sent,
-                    ctx: send_ctx,
-                    span,
+                    mut scope,
                 } => {
                     let client = self.node_client(node);
                     let seq = client.next_batch_seq();
                     let first = sent.and_then(|sent| client.recv(sent));
                     let outcome = client.finish_ingest(&req, first);
-                    if let Some((t, ctx, id, started)) = span {
-                        t.span_with_id(
-                            id,
-                            SpanKind::ClientSend,
-                            ctx.trace_id,
-                            ctx.parent_span,
-                            started,
-                            node as u64,
-                        );
-                    }
+                    let send_ctx = scope.ctx();
+                    scope.finish(node as u64, None);
                     match outcome {
                         Ok(()) => self.part(node).clear(),
                         Err(e) => {
@@ -596,7 +551,6 @@ impl Cluster {
         self.pending = keep;
         let client_id = self.node_client(report.node).client_id();
         let cursor = report.cursors.get(&client_id).copied().unwrap_or(0);
-        let tracer = self.tracer.as_ref().filter(|t| t.enabled()).cloned();
         for p in dead {
             if p.seq <= cursor {
                 continue;
@@ -604,33 +558,11 @@ impl Cluster {
             // Redeliver inside the trace the batch started in (falling
             // back to the most recent traced ingest): a Redelivery span
             // under the root, with the re-routed sends as its children.
-            let trace = p
-                .ctx
-                .map(|c| (c.trace_id, c.parent_span))
-                .or(self.last_trace);
-            match (&tracer, trace) {
-                (Some(t), Some((trace_id, parent))) => {
-                    let id = t.alloc_span_id();
-                    let started = t.start();
-                    let res = self.ingest_fanout(
-                        &p.records,
-                        Some(TraceContext {
-                            trace_id,
-                            parent_span: id,
-                        }),
-                    );
-                    t.span_with_id(
-                        id,
-                        SpanKind::Redelivery,
-                        trace_id,
-                        parent,
-                        started,
-                        p.records.len() as u64,
-                    );
-                    res?;
-                }
-                _ => self.ingest_fanout(&p.records, None)?,
-            }
+            let parent = p.ctx.or(self.last_trace);
+            let mut scope = Scope::child(self.tracer.as_ref(), parent, SpanKind::Redelivery);
+            let res = self.ingest_fanout(&p.records, scope.ctx());
+            scope.finish(p.records.len() as u64, None);
+            res?;
         }
         self.failovers += 1;
         Ok(())
@@ -702,20 +634,16 @@ impl Cluster {
     /// rather than dropped. On an error, retry — the next successful call
     /// returns the buffered alarms merged with everything newly drained.
     pub fn drain(&mut self) -> Result<Vec<StreamAlarm>, WireError> {
-        let mut first_err = None;
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            if self.router.is_down(i) {
-                continue;
-            }
+        let (mut drained, mut first_err) = (Vec::new(), None);
+        for client in self.live_clients() {
             match client.drain() {
-                Ok(alarms) => self.drained.extend(alarms),
+                Ok(alarms) => drained.extend(alarms),
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
         }
+        self.drained.extend(drained);
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -726,27 +654,13 @@ impl Cluster {
 
     /// Live streams across all (live) nodes.
     pub fn stream_count(&mut self) -> Result<usize, WireError> {
-        let mut total = 0;
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            if self.router.is_down(i) {
-                continue;
-            }
-            total += client.stream_count()?;
-        }
-        Ok(total)
+        self.live_clients().map(NetClient::stream_count).sum()
     }
 
     /// Checkpoint every live node into its own registry; returns state
     /// sizes in bytes, in node order (down nodes skipped).
     pub fn checkpoint_all(&mut self) -> Result<Vec<u64>, WireError> {
-        let mut sizes = Vec::new();
-        for (i, client) in self.clients.iter_mut().enumerate() {
-            if self.router.is_down(i) {
-                continue;
-            }
-            sizes.push(client.checkpoint()?);
-        }
-        Ok(sizes)
+        self.live_clients().map(NetClient::checkpoint).collect()
     }
 
     /// Move live streams onto node `to`, two-phase:
@@ -777,8 +691,7 @@ impl Cluster {
                 "migration target node {to} is down"
             )));
         }
-        let tracer = self.tracer.as_ref().filter(|t| t.enabled()).cloned();
-        let trace_start = tracer.as_ref().map_or(0, |t| t.start());
+        let scope = Scope::child(self.tracer.as_ref(), self.last_trace, SpanKind::Migration);
         let mut moved = 0u64;
         let mut per_source: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
         for &s in streams {
@@ -808,12 +721,8 @@ impl Cluster {
                 self.router.pin(id, to);
             }
         }
-        if let Some(t) = &tracer {
-            t.event(Severity::Info, EventKind::Migration, moved, to as u64);
-            if let Some((trace_id, root)) = self.last_trace {
-                t.span(SpanKind::Migration, trace_id, root, trace_start, moved);
-            }
-        }
+        scope.event(Severity::Info, EventKind::Migration, moved, to as u64);
+        scope.finish(moved, None);
         Ok(())
     }
 
@@ -821,14 +730,7 @@ impl Cluster {
     /// order (down nodes skipped). Nodes without a tracer contribute a
     /// complete empty document.
     pub fn fetch_traces(&mut self) -> Result<Vec<String>, WireError> {
-        let mut docs = Vec::new();
-        for i in 0..self.clients.len() {
-            if self.router.is_down(i) {
-                continue;
-            }
-            docs.push(self.node_client(i).fetch_trace()?);
-        }
-        Ok(docs)
+        self.live_clients().map(NetClient::fetch_trace).collect()
     }
 }
 

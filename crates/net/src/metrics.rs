@@ -31,22 +31,6 @@ pub const MSG_KINDS: [&str; 11] = [
     "Trace",
 ];
 
-/// Pre-rendered `msg="…"` label for each slot, so the hot render path
-/// never formats label strings.
-const MSG_LABELS: [&str; 11] = [
-    "msg=\"OpenStream\"",
-    "msg=\"IngestBatch\"",
-    "msg=\"Drain\"",
-    "msg=\"Checkpoint\"",
-    "msg=\"Stats\"",
-    "msg=\"MigrateOut\"",
-    "msg=\"MigrateIn\"",
-    "msg=\"Shutdown\"",
-    "msg=\"Ping\"",
-    "msg=\"StreamCount\"",
-    "msg=\"Trace\"",
-];
-
 /// One latency histogram per request kind. `&self` recording, so a node's
 /// connection threads share one instance without coordination.
 #[derive(Debug)]
@@ -153,12 +137,13 @@ pub fn push_snapshots_prometheus(
     help: &str,
     snaps: &[(&'static str, HistogramSnapshot)],
 ) {
-    let series: Vec<(&str, &HistogramSnapshot)> = snaps
+    let labelled: Vec<(String, &HistogramSnapshot)> = snaps
         .iter()
-        .enumerate()
-        .filter(|(_, (_, s))| s.count() > 0)
-        .map(|(i, (_, s))| (*MSG_LABELS.get(i).unwrap_or(&""), s))
+        .filter(|(_, s)| s.count() > 0)
+        .map(|(kind, s)| (format!("msg=\"{kind}\""), s))
         .collect();
+    let series: Vec<(&str, &HistogramSnapshot)> =
+        labelled.iter().map(|(l, s)| (l.as_str(), *s)).collect();
     push_histogram_series(out, name, help, &series);
 }
 

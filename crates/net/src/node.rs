@@ -22,15 +22,16 @@
 //! threads unwind and [`Node::serve`] returns, handing the runtime back
 //! for inspection via [`Node::into_runtime`].
 
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use etsc_core::metrics::Clock;
-use etsc_core::trace::{SpanKind, TraceContext};
+use etsc_core::trace::{Scope, SpanKind};
 use etsc_early::EarlyClassifier;
 use etsc_persist::{ModelRegistry, Persist};
-use etsc_serve::Runtime;
+use etsc_serve::{IngestMeta, Runtime};
 
 use crate::error::WireError;
 use crate::metrics::MessageTimings;
@@ -262,29 +263,15 @@ impl<'a, C: EarlyClassifier + Persist> Node<'a, C> {
                 ctx,
             } => {
                 // When the batch carries a trace context and this runtime
-                // has a live tracer, interpose a NodeIngest span between
-                // the client's send span and the shard spans: the span id
-                // is allocated up front so the runtime's enqueue spans can
-                // parent to it, and the span itself is recorded only after
-                // the ingest returns (so its duration covers the whole
-                // node-side service, lock wait excluded).
-                let node_span = match (rt.tracer(), ctx) {
-                    (Some(t), Some(ctx)) if t.enabled() => {
-                        let tracer = t.clone();
-                        let id = tracer.alloc_span_id();
-                        let started = tracer.start();
-                        Some((tracer, id, ctx, started))
-                    }
-                    _ => None,
+                // has a live tracer, a NodeIngest span sits between the
+                // client's send span and the shard spans; its duration
+                // covers the node-side service, lock wait excluded.
+                let mut scope = Scope::child(rt.tracer(), ctx, SpanKind::NodeIngest);
+                let meta = IngestMeta {
+                    tag: NonZeroU64::new(client).map(|client| (client, seq)),
+                    ctx: scope.ctx(),
                 };
-                let inner_ctx = match &node_span {
-                    Some((_, id, ctx, _)) => Some(TraceContext {
-                        trace_id: ctx.trace_id,
-                        parent_span: *id,
-                    }),
-                    None => ctx,
-                };
-                let reply = match rt.ingest_tagged_ctx(client, seq, &records, inner_ctx) {
+                let reply = match rt.ingest_with(&records, meta) {
                     Ok(applied) => Message::IngestAck { applied },
                     Err(e) => {
                         let mut err = WireError::from_serve(&e);
@@ -294,16 +281,7 @@ impl<'a, C: EarlyClassifier + Persist> Node<'a, C> {
                         Message::Error(err)
                     }
                 };
-                if let Some((tracer, id, ctx, started)) = node_span {
-                    tracer.span_with_id(
-                        id,
-                        SpanKind::NodeIngest,
-                        ctx.trace_id,
-                        ctx.parent_span,
-                        started,
-                        records.len() as u64,
-                    );
-                }
+                scope.finish(records.len() as u64, None);
                 reply
             }
             Message::Drain => Message::DrainAck { alarms: rt.drain() },

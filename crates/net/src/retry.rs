@@ -17,7 +17,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use etsc_serve::stats::push_counter;
+use etsc_core::metrics::push_counter;
 
 /// When and how often a [`NetClient`](crate::NetClient) retries a failed
 /// request.

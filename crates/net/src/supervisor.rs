@@ -35,8 +35,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 use std::path::PathBuf;
 
-use etsc_core::metrics::{push_histogram, push_scalar, Clock, Histogram};
-use etsc_core::trace::{EventKind, Severity};
+use etsc_core::metrics::{push_counter, push_gauge, push_histogram, Clock, Histogram};
+use etsc_core::trace::{EventKind, Scope, Severity};
 use etsc_early::EarlyClassifier;
 use etsc_persist::{ModelRegistry, Persist};
 use etsc_serve::{Runtime, StreamAlarm};
@@ -164,17 +164,13 @@ impl<C: EarlyClassifier + Persist> Supervisor<C> {
             if self.dead.contains(&node) {
                 continue;
             }
-            let timing = !self.clock.is_disabled();
-            let started = if timing { self.clock.now_ns() } else { 0 };
+            // One observation per probe, hit or miss — a miss's span
+            // (timeout + redial + second timeout) is the latency a failed
+            // heartbeat costs the tick, which is the number to watch when
+            // choosing a tick cadence.
+            let probe = Scope::timer(&self.clock);
             let alive = Self::probe(cluster.client(node), node as u64);
-            if timing {
-                // One observation per probe, hit or miss — a miss's span
-                // (timeout + redial + second timeout) is the latency a
-                // failed heartbeat costs the tick, which is the number to
-                // watch when choosing a tick cadence.
-                self.probe_ns
-                    .record(self.clock.now_ns().saturating_sub(started));
-            }
+            probe.stop(&self.probe_ns);
             if alive {
                 if let Some(m) = self.misses.get_mut(node) {
                     *m = 0;
@@ -193,12 +189,9 @@ impl<C: EarlyClassifier + Persist> Supervisor<C> {
                 })
                 .unwrap_or(0);
             if misses >= self.cfg.miss_threshold.max(1) {
-                let started = if timing { self.clock.now_ns() } else { 0 };
+                let failover = Scope::timer(&self.clock);
                 let report = self.failover(node, cluster)?;
-                if timing {
-                    self.failover_ns
-                        .record(self.clock.now_ns().saturating_sub(started));
-                }
+                failover.stop(&self.failover_ns);
                 reports.push(report);
             }
         }
@@ -222,8 +215,7 @@ impl<C: EarlyClassifier + Persist> Supervisor<C> {
         cluster: &mut Cluster,
     ) -> Result<FailoverReport, WireError> {
         self.dead.insert(node);
-        let tracer = cluster.tracer().filter(|t| t.enabled()).cloned();
-        if let Some(t) = &tracer {
+        if let Some(t) = cluster.tracer() {
             t.event(
                 Severity::Error,
                 EventKind::FailoverDeclared,
@@ -277,7 +269,7 @@ impl<C: EarlyClassifier + Persist> Supervisor<C> {
                 moved.push((*id, target));
             }
         }
-        if let Some(t) = &tracer {
+        if let Some(t) = cluster.tracer() {
             t.event(
                 Severity::Warn,
                 EventKind::FailoverCompleted,
@@ -300,18 +292,16 @@ impl<C: EarlyClassifier + Persist> Supervisor<C> {
     /// Prometheus dialect every other layer exposes.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        push_scalar(
+        push_counter(
             &mut out,
             "etsc_net_supervisor_failovers_total",
             "Failovers this supervisor has driven.",
-            "counter",
             self.failovers,
         );
-        push_scalar(
+        push_gauge(
             &mut out,
             "etsc_net_supervisor_dead_nodes",
             "Nodes this supervisor has declared dead.",
-            "gauge",
             self.dead.len() as u64,
         );
         push_histogram(

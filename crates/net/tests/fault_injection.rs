@@ -563,3 +563,78 @@ fn cluster_ingest_under_inbound_partition_sends_each_node_max_attempts_copies() 
         }
     });
 }
+
+/// Pins the client tracer of a fault-free cluster exactly: every ingest's
+/// root and per-node send spans, and a migration under the latest root,
+/// on a manual clock that steps between calls.
+#[test]
+fn cluster_client_spans_and_events_are_pinned() {
+    use etsc_core::metrics::Clock;
+    use etsc_core::trace::{EventKind, Severity, SpanKind as K, Tracer, TracerConfig};
+    with_two_nodes(|eps, _| {
+        let clock = Clock::manual();
+        let tracer = Tracer::new(TracerConfig {
+            clock: clock.clone(),
+            id_seed: 100,
+            ..TracerConfig::default()
+        });
+        let cfg = ClientConfig {
+            tracer: Some(tracer.clone()),
+            ..ClientConfig::default()
+        };
+        let mut cluster = Cluster::connect_with(eps, cfg).unwrap();
+        let (batch, _) = spread_batch(&cluster);
+        for _ in 0..3 {
+            clock.advance_ns(1_000);
+            cluster.ingest(&batch).unwrap();
+        }
+        clock.advance_ns(1_000);
+        // The batch opens with node 0's two streams.
+        let streams: Vec<u64> = batch[..2].iter().map(|r| r.stream).collect();
+        cluster.migrate(&streams, 1).unwrap();
+        // A failed migration records nothing, and takes no span id.
+        let absent = (0u64..)
+            .find(|&id| cluster.router().route(id) == 0 && batch.iter().all(|r| r.stream != id))
+            .unwrap();
+        assert!(cluster.migrate(&[absent], 1).is_err());
+        clock.advance_ns(1_000);
+        cluster.ingest(&batch).unwrap();
+
+        let spans: Vec<_> = tracer
+            .spans()
+            .iter()
+            .map(|s| {
+                (
+                    s.trace_id,
+                    s.span_id,
+                    s.parent_id,
+                    s.kind,
+                    s.start_ns,
+                    s.dur_ns,
+                    s.arg,
+                )
+            })
+            .collect();
+        let events: Vec<_> = tracer
+            .events()
+            .iter()
+            .map(|e| (e.time_ns, e.severity, e.kind, e.a, e.b))
+            .collect();
+        #[rustfmt::skip]
+        assert_eq!(spans, [
+            (100, 102, 101, K::ClientSend, 1000, 0, 0),
+            (100, 103, 101, K::ClientSend, 1000, 0, 1),
+            (100, 101, 0, K::ClientIngest, 1000, 0, 12),
+            (104, 106, 105, K::ClientSend, 2000, 0, 0),
+            (104, 107, 105, K::ClientSend, 2000, 0, 1),
+            (104, 105, 0, K::ClientIngest, 2000, 0, 12),
+            (108, 110, 109, K::ClientSend, 3000, 0, 0),
+            (108, 111, 109, K::ClientSend, 3000, 0, 1),
+            (108, 109, 0, K::ClientIngest, 3000, 0, 12),
+            (108, 112, 109, K::Migration, 4000, 0, 2),
+            (113, 115, 114, K::ClientSend, 5000, 0, 1),
+            (113, 114, 0, K::ClientIngest, 5000, 0, 12),
+        ]);
+        assert_eq!(events, [(4000, Severity::Info, EventKind::Migration, 2, 1)]);
+    });
+}

@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use etsc_persist::{Decoder, Encoder, PersistError};
 
 use crate::runtime::StreamAlarm;
-use crate::stats::{push_counter, push_gauge};
+use etsc_core::metrics::{push_counter, push_gauge};
 
 /// A sink-side dedup filter upgrading alarm delivery from at-least-once to
 /// exactly-once across crash, recovery, and failover (see the

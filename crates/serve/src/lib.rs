@@ -114,6 +114,8 @@ pub mod stats;
 pub use dedup::DedupCursor;
 pub use error::ServeError;
 pub use router::ShardRouter;
-pub use runtime::{OverflowPolicy, Record, Runtime, RuntimeConfig, StreamAlarm, SERVE_STATE_KIND};
+pub use runtime::{
+    IngestMeta, OverflowPolicy, Record, Runtime, RuntimeConfig, StreamAlarm, SERVE_STATE_KIND,
+};
 pub use service::StreamService;
 pub use stats::{ServeStats, ShardStats};

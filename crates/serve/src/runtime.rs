@@ -6,9 +6,12 @@
 //! A [`Runtime`] owns N **shards**; each shard owns the
 //! [`StreamMonitor`]s of the streams routed to it (see
 //! [`ShardRouter`]) plus a bounded queue of not-yet-processed records.
-//! [`ingest`](Runtime::ingest) only *routes* — it appends each record to
+//! [`ingest_with`](Runtime::ingest_with) (and [`ingest`](Runtime::ingest),
+//! its untagged, untraced form) only *routes* — it appends each record to
 //! its shard's queue (auto-opening unknown streams) and applies the
-//! configured [`OverflowPolicy`] when a queue is full.
+//! configured [`OverflowPolicy`] when a queue is full. An [`IngestMeta`]
+//! rides along: an idempotency tag that makes retried delivery
+//! exactly-once, and a wire trace context.
 //! [`drain`](Runtime::drain) does the work: every shard's queue is
 //! processed by a worker thread (scoped fan-out via [`etsc_core::parallel`],
 //! worker count from `ETSC_THREADS` or the explicit
@@ -67,11 +70,12 @@
 //! runtime from those bytes in a fresh process.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroU64;
 use std::path::Path;
 
 use etsc_core::metrics::{Clock, Gauge, Histogram};
 use etsc_core::parallel;
-use etsc_core::trace::{self, EventKind, Severity, SpanKind, TraceContext, Tracer};
+use etsc_core::trace::{self, EventKind, Scope, Severity, SpanKind, TraceContext, Tracer};
 use etsc_early::EarlyClassifier;
 use etsc_persist::{Encoder, ModelRegistry, Persist, PersistError};
 use etsc_stream::{Alarm, StreamMonitor, StreamMonitorConfig, StreamNorm};
@@ -158,6 +162,22 @@ impl Record {
     }
 }
 
+/// What [`Runtime::ingest_with`] is told about a batch besides its records.
+/// The default is an untagged, untraced batch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IngestMeta {
+    /// Idempotency tag `(client, seq)`: the runtime remembers the highest
+    /// `seq` applied per client and skips a batch at or below it. `None`
+    /// is untagged, and the batch always applies (the wire spells it
+    /// client 0).
+    pub tag: Option<(NonZeroU64, u64)>,
+    /// Wire trace context: with one and an enabled tracer, the batch's
+    /// routing is recorded as one `ShardEnqueue` span per touched shard
+    /// under its parent span, and the next drain of those shards parents
+    /// its `ShardDrain`/`AlarmEmit` spans under them.
+    pub ctx: Option<TraceContext>,
+}
+
 /// An alarm attributed to a stream, tagged with the global ingest sequence
 /// number of the sample that triggered it.
 ///
@@ -227,8 +247,8 @@ pub struct Runtime<'a, C: EarlyClassifier + ?Sized> {
     pending: Vec<StreamAlarm>,
     auto: Option<AutoCheckpoint>,
     /// Per-client ingest cursors: the highest batch sequence number applied
-    /// for each tagged client (see [`ingest_tagged`](Self::ingest_tagged)).
-    /// Checkpointed, so dedup survives crash + recovery.
+    /// for each tagged client (see [`IngestMeta::tag`]). Checkpointed, so
+    /// dedup survives crash + recovery.
     clients: BTreeMap<u64, u64>,
     // Runtime-lifetime counters (per-shard counters reset with topology).
     ingested: u64,
@@ -376,6 +396,12 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
             .max(1)
     }
 
+    /// A timed, traced scope for maintenance work: its span of `kind`
+    /// joins the last traced ingest's trace.
+    fn maintenance_scope(&self, kind: SpanKind) -> Scope {
+        Scope::child(self.tracer.as_ref(), self.last_ctx, kind).timed(&self.clock)
+    }
+
     /// Open a monitor for `stream` without ingesting anything; returns
     /// `false` if the stream was already live. (Ingest auto-opens unknown
     /// streams, so this is only needed to pre-warm assignments.)
@@ -400,7 +426,13 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
             .is_some_and(|s| s.remove(stream).is_some())
     }
 
-    /// Route a batch of records into the shard queues.
+    /// [`ingest_with`](Self::ingest_with) an untagged, untraced batch.
+    pub fn ingest(&mut self, batch: &[Record]) -> Result<(), ServeError> {
+        self.ingest_with(batch, IngestMeta::default()).map(drop)
+    }
+
+    /// Route a batch of records into the shard queues; `Ok(false)` means
+    /// the batch's tag showed it already applied, and nothing was queued.
     ///
     /// Unknown stream ids auto-open a monitor. Records are *not* processed
     /// here (see [`drain`](Self::drain)) unless a queue fills under
@@ -409,79 +441,38 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// with [`ServeError::QueueFull`]. Samples of one stream are processed
     /// in ingest order, across any batching, sharding, or threading.
     ///
-    /// # Errors
-    ///
-    /// [`ServeError::QueueFull`] means **no record was enqueued** — drain
-    /// and retry the whole batch. Any other error can only come from a due
-    /// periodic checkpoint (see
-    /// [`enable_checkpoints`](Self::enable_checkpoints)) failing to write;
-    /// the batch **was fully accepted** — do not re-ingest it. The failed
-    /// checkpoint is not retried until the next interval elapses.
-    pub fn ingest(&mut self, batch: &[Record]) -> Result<(), ServeError> {
-        self.ingest_ctx(batch, None)
-    }
-
-    /// [`ingest`](Self::ingest) carrying an optional wire
-    /// [`TraceContext`]: with a context and an enabled tracer, the batch's
-    /// routing is recorded as one `ShardEnqueue` span per touched shard
-    /// (parented to the context's parent span), and the next drain of
-    /// those shards parents its `ShardDrain`/`AlarmEmit` spans under them.
-    /// With `None` (or no tracer) this is exactly [`ingest`](Self::ingest).
-    pub fn ingest_ctx(
-        &mut self,
-        batch: &[Record],
-        ctx: Option<TraceContext>,
-    ) -> Result<(), ServeError> {
-        self.enqueue_batch(batch, ctx)?;
-        self.maybe_auto_checkpoint()
-    }
-
-    /// [`ingest`](Self::ingest) with an idempotency tag: `(client, seq)`
-    /// identifies the batch, and the runtime remembers the highest `seq`
-    /// applied per client. A batch at or below the client's cursor is
-    /// skipped without touching any queue and reported as `Ok(false)` —
-    /// which is how a client retrying a batch whose acknowledgement was
-    /// lost learns the original attempt landed, upgrading retried delivery
-    /// from at-least-once to exactly-once. `(0, _)` is the untagged client;
-    /// its batches always apply.
-    ///
-    /// The cursor advances *before* any due periodic checkpoint is cut, so
-    /// a checkpoint covering the batch also covers its dedup state.
+    /// A tagged batch at or below its client's cursor is skipped without
+    /// touching any queue or recording any span, and counted in
+    /// [`ServeStats::duplicate_batches`] — which is how a client retrying a
+    /// batch whose acknowledgement was lost learns the original attempt
+    /// landed, upgrading retried delivery from at-least-once to
+    /// exactly-once. The cursor advances *before* any due periodic
+    /// checkpoint is cut, so a checkpoint covering the batch also covers
+    /// its dedup state.
     ///
     /// # Errors
     ///
-    /// Same contract as [`ingest`](Self::ingest): a
-    /// [`QueueFull`](ServeError::QueueFull) rejection is atomic and does
-    /// **not** advance the client's cursor, so the same tag can (and
-    /// should) be resent.
-    pub fn ingest_tagged(
-        &mut self,
-        client: u64,
-        seq: u64,
-        batch: &[Record],
-    ) -> Result<bool, ServeError> {
-        self.ingest_tagged_ctx(client, seq, batch, None)
-    }
-
-    /// [`ingest_tagged`](Self::ingest_tagged) carrying an optional
-    /// [`TraceContext`] (see [`ingest_ctx`](Self::ingest_ctx) for what a
-    /// context adds). A deduplicated batch records no spans — it touched
-    /// no queue.
-    pub fn ingest_tagged_ctx(
-        &mut self,
-        client: u64,
-        seq: u64,
-        batch: &[Record],
-        ctx: Option<TraceContext>,
-    ) -> Result<bool, ServeError> {
-        let tagged = client != 0;
-        if tagged && self.clients.get(&client).is_some_and(|&cur| seq <= cur) {
-            self.duplicate_batches += 1;
-            return Ok(false);
+    /// [`ServeError::QueueFull`] means **no record was enqueued** and the
+    /// client's cursor did not move — drain and retry the whole batch, tag
+    /// and all. Any other error can only come from a due periodic
+    /// checkpoint (see [`enable_checkpoints`](Self::enable_checkpoints))
+    /// failing to write; the batch **was fully accepted** — do not
+    /// re-ingest it. The failed checkpoint is not retried until the next
+    /// interval elapses.
+    pub fn ingest_with(&mut self, batch: &[Record], meta: IngestMeta) -> Result<bool, ServeError> {
+        if let Some((client, seq)) = meta.tag {
+            if self
+                .clients
+                .get(&client.get())
+                .is_some_and(|&cur| seq <= cur)
+            {
+                self.duplicate_batches += 1;
+                return Ok(false);
+            }
         }
-        self.enqueue_batch(batch, ctx)?;
-        if tagged {
-            self.clients.insert(client, seq);
+        self.enqueue_batch(batch, meta.ctx)?;
+        if let Some((client, seq)) = meta.tag {
+            self.clients.insert(client.get(), seq);
         }
         self.maybe_auto_checkpoint()?;
         Ok(true)
@@ -494,9 +485,9 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         &self.clients
     }
 
-    /// The shared body of [`ingest`](Self::ingest) and
-    /// [`ingest_tagged`](Self::ingest_tagged): route the batch into the
-    /// shard queues without consulting the checkpoint schedule.
+    /// Route the batch into the shard queues for
+    /// [`ingest_with`](Self::ingest_with), without consulting the cursors
+    /// or the checkpoint schedule.
     fn enqueue_batch(
         &mut self,
         batch: &[Record],
@@ -547,10 +538,17 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                 }
             }
         }
-        let trace = match (&self.tracer, ctx) {
-            (Some(t), Some(ctx)) if t.enabled() => Some((t.clone(), ctx, t.start())),
-            _ => None,
+        // A traced batch records one ShardEnqueue span per shard it touched,
+        // in first-touch order, which the routing loop notes in `touched`.
+        // Untraced, `seen` stays empty and the note is one failed lookup.
+        let ctx = ctx.filter(|_| self.tracer.as_ref().is_some_and(Tracer::enabled));
+        let started = ctx.and(self.tracer.as_ref()).map_or(0, Tracer::start);
+        let mut seen = if ctx.is_some() {
+            vec![false; self.shards.len()]
+        } else {
+            Vec::new()
         };
+        let mut touched = Vec::new();
         let clf = self.clf;
         let monitor_cfg = self.cfg.monitor;
         // The live-depth gauges are written once per batch and before each
@@ -559,6 +557,10 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         let mut depth = self.queued() as u64;
         for r in batch {
             let s = self.router.route(r.stream);
+            if let Some(first) = seen.get_mut(s).filter(|done| !**done) {
+                *first = true;
+                touched.push(s);
+            }
             #[expect(
                 clippy::indexing_slicing,
                 reason = "route() < shards.len() by construction — router and shard vec change together"
@@ -582,26 +584,20 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         }
         self.metrics.queue_depth.set(depth);
         self.metrics.queue_depth_high_water.record_max(depth);
-        if let Some((tracer, ctx, started)) = trace {
+        if let (Some(ctx), Some(tracer)) = (ctx, &self.tracer) {
             self.last_ctx = Some(ctx);
-            // One ShardEnqueue span per shard the batch touched, all under
-            // the wire context's parent; each shard's trace slot (latest
-            // traced ingest wins) lets its next drain continue the chain.
-            // The span is recorded lazily on first touch, so the extra
-            // per-record work is one route and one slot store.
-            let mut spans: Vec<Option<u64>> = vec![None; self.shards.len()];
-            for r in batch {
-                let s = self.router.route(r.stream);
-                if let (Some(slot), Some(shard)) = (spans.get_mut(s), self.shards.get_mut(s)) {
-                    let span = *slot.get_or_insert_with(|| {
-                        tracer.span(
-                            SpanKind::ShardEnqueue,
-                            ctx.trace_id,
-                            ctx.parent_span,
-                            started,
-                            s as u64,
-                        )
-                    });
+            // The spans sit under the wire context's parent; each shard's
+            // trace slot (latest traced ingest wins) lets its next drain
+            // continue the chain.
+            for s in touched {
+                let span = tracer.span(
+                    SpanKind::ShardEnqueue,
+                    ctx.trace_id,
+                    ctx.parent_span,
+                    started,
+                    s as u64,
+                );
+                if let Some(shard) = self.shards.get_mut(s) {
                     shard.trace = Some((ctx.trace_id, span));
                 }
             }
@@ -629,8 +625,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
             // internally) must not pay the scoped-spawn round for nothing.
             return;
         }
-        let timing = !self.clock.is_disabled();
-        let started = if timing { self.clock.now_ns() } else { 0 };
+        let timer = Scope::timer(&self.clock);
         let threads = self.worker_threads().min(self.shards.len());
         // Field-precise borrows: the workers mutate the shards while
         // recording into the (lock-free, `&self`) histograms.
@@ -646,11 +641,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         // Every queue is empty after a flush — the live gauge says so
         // immediately, not at the next stats() call.
         self.metrics.queue_depth.set(0);
-        if timing {
-            self.metrics
-                .drain_cycle_ns
-                .record(self.clock.now_ns().saturating_sub(started));
-        }
+        timer.stop(&self.metrics.drain_cycle_ns);
     }
 
     /// Re-shard the runtime to `new_shards` workers, moving every monitor
@@ -667,10 +658,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
             return Err(ServeError::BadConfig("shard count must be ≥ 1".into()));
         }
         self.flush_all();
-        let timing = !self.clock.is_disabled();
-        let started = if timing { self.clock.now_ns() } else { 0 };
-        let tracer = self.tracer.clone().filter(|t| t.enabled());
-        let trace_start = tracer.as_ref().map_or(0, |t| t.start());
+        let scope = self.maintenance_scope(SpanKind::Migration);
         let new_router = ShardRouter::new(new_shards);
         let old = std::mem::replace(
             &mut self.shards,
@@ -694,28 +682,13 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
         self.cfg.shards = new_shards;
         self.rebalances += 1;
         self.migrated_streams += n_migrated;
-        if let Some(t) = &tracer {
-            t.event(
-                Severity::Info,
-                EventKind::Migration,
-                n_migrated,
-                new_shards as u64,
-            );
-            if let Some(ctx) = self.last_ctx {
-                t.span(
-                    SpanKind::Migration,
-                    ctx.trace_id,
-                    ctx.parent_span,
-                    trace_start,
-                    n_migrated,
-                );
-            }
-        }
-        if timing {
-            self.metrics
-                .migration_ns
-                .record(self.clock.now_ns().saturating_sub(started));
-        }
+        scope.event(
+            Severity::Info,
+            EventKind::Migration,
+            n_migrated,
+            new_shards as u64,
+        );
+        scope.finish(n_migrated, Some(&self.metrics.migration_ns));
         Ok(())
     }
 
@@ -735,10 +708,7 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// their new owner before resuming ingestion.
     pub fn export_streams(&mut self, streams: &[u64]) -> Result<Vec<(u64, Vec<u8>)>, ServeError> {
         self.flush_all();
-        let timing = !self.clock.is_disabled();
-        let started = if timing { self.clock.now_ns() } else { 0 };
-        let tracer = self.tracer.clone().filter(|t| t.enabled());
-        let trace_start = tracer.as_ref().map_or(0, |t| t.start());
+        let scope = self.maintenance_scope(SpanKind::Migration);
         // Phase 1 (fallible, read-only): snapshot every requested stream.
         let mut out = Vec::with_capacity(streams.len());
         let mut listed = BTreeSet::new();
@@ -759,29 +729,10 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
                 shard.remove(id);
             }
         }
-        self.migrated_streams += streams.len() as u64;
-        if let Some(t) = &tracer {
-            t.event(
-                Severity::Info,
-                EventKind::Migration,
-                streams.len() as u64,
-                0,
-            );
-            if let Some(ctx) = self.last_ctx {
-                t.span(
-                    SpanKind::Migration,
-                    ctx.trace_id,
-                    ctx.parent_span,
-                    trace_start,
-                    streams.len() as u64,
-                );
-            }
-        }
-        if timing {
-            self.metrics
-                .migration_ns
-                .record(self.clock.now_ns().saturating_sub(started));
-        }
+        let n = streams.len() as u64;
+        self.migrated_streams += n;
+        scope.event(Severity::Info, EventKind::Migration, n, 0);
+        scope.finish(n, Some(&self.metrics.migration_ns));
         Ok(out)
     }
 
@@ -795,8 +746,8 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// duplicate id) leaves the runtime untouched — in particular, a
     /// failed import never half-applies a migration batch.
     pub fn import_streams(&mut self, streams: &[(u64, Vec<u8>)]) -> Result<(), ServeError> {
-        let timing = !self.clock.is_disabled();
-        let started = if timing { self.clock.now_ns() } else { 0 };
+        // An import records no span, only its event and timing.
+        let timer = Scope::timer(&self.clock);
         // Phase 1 (fallible): validate ids and rehydrate monitors.
         let mut fresh: BTreeMap<u64, StreamMonitor<'a, C>> = BTreeMap::new();
         for (id, bytes) in streams {
@@ -822,14 +773,10 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
             self.shards[self.router.route(id)].insert(id, monitor);
         }
         self.migrated_streams += n;
-        if let Some(t) = self.tracer.as_ref().filter(|t| t.enabled()) {
+        if let Some(t) = &self.tracer {
             t.event(Severity::Info, EventKind::Migration, n, 0);
         }
-        if timing {
-            self.metrics
-                .migration_ns
-                .record(self.clock.now_ns().saturating_sub(started));
-        }
+        timer.stop(&self.metrics.migration_ns);
         Ok(())
     }
 
@@ -901,47 +848,23 @@ impl<'a, C: EarlyClassifier + ?Sized> Runtime<'a, C> {
     /// Returns the checkpoint envelope size in bytes.
     pub fn checkpoint_state(&mut self, registry: &ModelRegistry) -> Result<usize, ServeError> {
         self.flush_all();
-        let timing = !self.clock.is_disabled();
-        let started = if timing { self.clock.now_ns() } else { 0 };
-        let tracer = self.tracer.clone().filter(|t| t.enabled());
-        let trace_start = tracer.as_ref().map_or(0, |t| t.start());
-        if let Some(t) = &tracer {
-            t.event(
-                Severity::Info,
-                EventKind::CheckpointBegin,
-                self.stream_count() as u64,
-                0,
-            );
-        }
+        let scope = self.maintenance_scope(SpanKind::Checkpoint);
+        scope.event(
+            Severity::Info,
+            EventKind::CheckpointBegin,
+            self.stream_count() as u64,
+            0,
+        );
         let mut enc = Encoder::with_capacity(self.last_checkpoint_bytes);
         enc.try_envelope(SERVE_STATE_KIND, |e| self.encode_state(e))?;
         let bytes = enc.into_bytes();
         registry.save_bytes(&state_entry_name(&self.cfg.model_name), &bytes)?;
         self.checkpoints += 1;
         self.last_checkpoint_bytes = bytes.len();
-        self.metrics.checkpoint_bytes.record(bytes.len() as u64);
-        if let Some(t) = &tracer {
-            t.event(
-                Severity::Info,
-                EventKind::CheckpointEnd,
-                bytes.len() as u64,
-                0,
-            );
-            if let Some(ctx) = self.last_ctx {
-                t.span(
-                    SpanKind::Checkpoint,
-                    ctx.trace_id,
-                    ctx.parent_span,
-                    trace_start,
-                    bytes.len() as u64,
-                );
-            }
-        }
-        if timing {
-            self.metrics
-                .checkpoint_pause_ns
-                .record(self.clock.now_ns().saturating_sub(started));
-        }
+        let n = bytes.len() as u64;
+        self.metrics.checkpoint_bytes.record(n);
+        scope.event(Severity::Info, EventKind::CheckpointEnd, n, 0);
+        scope.finish(n, Some(&self.metrics.checkpoint_pause_ns));
         Ok(bytes.len())
     }
 
@@ -1453,6 +1376,141 @@ mod tests {
         assert!(stats.shards.iter().any(|s| s.streams > 0));
     }
 
+    /// Pins the runtime's telemetry exactly: every span and event of a
+    /// traced ingest, a drain, a rebalance, an export then import, and a
+    /// checkpoint, with the runtime and a fixed-seed tracer on one manual
+    /// clock that steps between calls.
+    #[test]
+    fn runtime_spans_events_and_timings_are_pinned() {
+        use etsc_core::trace::TracerConfig;
+        use EventKind as E;
+        use SpanKind as K;
+        let root = tmp_root("pinned-telemetry");
+        let registry = ModelRegistry::open(&root).unwrap();
+        let clf = detector();
+        let clock = Clock::manual();
+        let tracer = Tracer::new(TracerConfig {
+            clock: clock.clone(),
+            id_seed: 100,
+            ..TracerConfig::default()
+        });
+        let cfg = RuntimeConfig {
+            threads: Some(1),
+            ..config(2)
+        };
+        let mut rt = Runtime::new(&clf, cfg).unwrap();
+        rt.set_clock(clock.clone());
+        rt.set_tracer(tracer.clone());
+        let ctx = TraceContext {
+            trace_id: 7,
+            parent_span: 9,
+        };
+        let batch: Vec<Record> = (0..16).map(|i| Record::new(IDS[i % 4], 1.0)).collect();
+        clock.advance_ns(1_000);
+        rt.ingest_with(
+            &batch,
+            IngestMeta {
+                ctx: Some(ctx),
+                ..IngestMeta::default()
+            },
+        )
+        .unwrap();
+        clock.advance_ns(1_000);
+        assert_eq!(rt.drain().len(), 4);
+        clock.advance_ns(1_000);
+        rt.rebalance(3).unwrap();
+        clock.advance_ns(1_000);
+        let moved = rt.export_streams(&[IDS[0], IDS[2]]).unwrap();
+        // A failed export records nothing, and takes no span id.
+        assert!(rt.export_streams(&[404]).is_err());
+        clock.advance_ns(1_000);
+        rt.import_streams(&moved).unwrap();
+        clock.advance_ns(1_000);
+        assert_eq!(rt.checkpoint(&registry).unwrap(), 762);
+
+        let spans = tracer.spans();
+        assert!(spans.iter().all(|s| s.trace_id == 7));
+        let spans: Vec<_> = spans
+            .iter()
+            .map(|s| (s.span_id, s.parent_id, s.kind, s.start_ns, s.dur_ns, s.arg))
+            .collect();
+        #[rustfmt::skip]
+        assert_eq!(spans, [
+            (100, 9, K::ShardEnqueue, 1000, 0, 0),
+            (101, 9, K::ShardEnqueue, 1000, 0, 1),
+            (102, 100, K::ShardDrain, 2000, 0, 12),
+            (103, 102, K::AlarmEmit, 2000, 0, 12),
+            (104, 102, K::AlarmEmit, 2000, 0, 14),
+            (105, 102, K::AlarmEmit, 2000, 0, 15),
+            (106, 101, K::ShardDrain, 2000, 0, 4),
+            (107, 106, K::AlarmEmit, 2000, 0, 13),
+            (108, 9, K::Migration, 3000, 0, 3),
+            (109, 9, K::Migration, 4000, 0, 2),
+            (110, 9, K::Checkpoint, 6000, 0, 762),
+        ]);
+        let events: Vec<_> = tracer
+            .events()
+            .iter()
+            .map(|e| (e.time_ns, e.severity, e.kind, e.a, e.b))
+            .collect();
+        #[rustfmt::skip]
+        assert_eq!(events, [
+            (3000, Severity::Info, E::Migration, 3, 3),
+            (4000, Severity::Info, E::Migration, 2, 0),
+            (5000, Severity::Info, E::Migration, 2, 0),
+            (6000, Severity::Info, E::CheckpointBegin, 4, 0),
+            (6000, Severity::Info, E::CheckpointEnd, 762, 0),
+        ]);
+        let stats = rt.stats();
+        assert_eq!(stats.drain_cycle_ns.count(), 1);
+        assert_eq!(stats.migration_ns.count(), 3);
+        assert_eq!(stats.checkpoint_pause_ns.count(), 1);
+        assert_eq!(
+            (stats.checkpoint_bytes.count(), stats.checkpoint_bytes.sum),
+            (1, 762)
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A traced batch's `ShardEnqueue` spans take their ids in the order
+    /// the batch first touches each shard, not in shard order.
+    #[test]
+    fn enqueue_spans_follow_first_touch_order() {
+        use etsc_core::trace::TracerConfig;
+        let clf = detector();
+        let tracer = Tracer::new(TracerConfig {
+            clock: Clock::manual(),
+            id_seed: 10,
+            ..TracerConfig::default()
+        });
+        let mut rt = Runtime::new(&clf, config(3)).unwrap();
+        rt.set_tracer(tracer.clone());
+        // One stream per shard, first touched in descending shard order.
+        let ids: Vec<u64> = (0..3)
+            .rev()
+            .map(|shard| (0u64..).find(|&id| rt.router.route(id) == shard).unwrap())
+            .collect();
+        let batch: Vec<Record> = ids
+            .iter()
+            .chain(&ids)
+            .map(|&id| Record::new(id, 1.0))
+            .collect();
+        let ctx = Some(TraceContext {
+            trace_id: 1,
+            parent_span: 2,
+        });
+        rt.ingest_with(
+            &batch,
+            IngestMeta {
+                ctx,
+                ..IngestMeta::default()
+            },
+        )
+        .unwrap();
+        let spans: Vec<_> = tracer.spans().iter().map(|s| (s.span_id, s.arg)).collect();
+        assert_eq!(spans, [(10, 2), (11, 1), (12, 0)]);
+    }
+
     #[test]
     fn metrics_populate_under_monotonic_and_stay_empty_when_disabled() {
         use etsc_core::metrics::Clock;
@@ -1645,6 +1703,55 @@ mod tests {
         rt.drain();
         rt.ingest(&batch[4..]).unwrap();
         assert_eq!(rt.stats().ingested, 6);
+    }
+
+    /// The idempotency-tag contract: a duplicate is skipped and counted, a
+    /// refused batch leaves its client's cursor behind so the same tag
+    /// applies once the queue drains, untagged batches always apply, and
+    /// the cursors survive a checkpoint and recovery.
+    #[test]
+    fn each_tag_applies_once_across_refusals_and_recovery() {
+        let root = tmp_root("tag-contract");
+        let registry = ModelRegistry::open(&root).unwrap();
+        let clf = detector();
+        let mut cfg = config(1);
+        cfg.queue_capacity = 4;
+        cfg.overflow = OverflowPolicy::Reject;
+        let mut rt = Runtime::new(&clf, cfg).unwrap();
+        let client = NonZeroU64::new(7).unwrap();
+        let tagged = |seq| IngestMeta {
+            tag: Some((client, seq)),
+            ctx: None,
+        };
+        let three = [Record::new(1, 1.0); 3];
+        assert_eq!(rt.ingest_with(&three, tagged(1)), Ok(true));
+        assert_eq!(rt.ingest_with(&three, tagged(1)), Ok(false));
+        assert_eq!(rt.ingest_with(&three, tagged(0)), Ok(false));
+        assert_eq!((rt.queued(), rt.stats().duplicate_batches), (3, 2));
+
+        assert!(matches!(
+            rt.ingest_with(&three, tagged(2)),
+            Err(ServeError::QueueFull { .. })
+        ));
+        assert_eq!((rt.queued(), rt.ingest_cursors().get(&7)), (3, Some(&1)));
+        rt.drain();
+        assert_eq!(rt.ingest_with(&three, tagged(2)), Ok(true));
+        assert_eq!(rt.ingest_cursors().get(&7), Some(&2));
+
+        // The wire's client 0 arrives untagged: it always applies.
+        rt.drain();
+        for _ in 0..2 {
+            assert_eq!(rt.ingest_with(&three[..1], IngestMeta::default()), Ok(true));
+        }
+        assert_eq!((rt.queued(), rt.ingest_cursors().len()), (2, 1));
+
+        rt.checkpoint(&registry).unwrap();
+        let mut back = Runtime::recover(&clf, &root, "pulse").unwrap();
+        assert_eq!(back.ingest_cursors(), rt.ingest_cursors());
+        assert_eq!(back.ingest_with(&three, tagged(2)), Ok(false));
+        assert_eq!(back.stats().duplicate_batches, 3);
+        assert_eq!(back.ingest_with(&three, tagged(3)), Ok(true));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

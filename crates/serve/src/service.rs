@@ -36,6 +36,11 @@ pub trait StreamService {
     /// [`OverflowPolicy`](crate::OverflowPolicy): the call either blocks
     /// while the work happens or fails with a typed queue-full error that
     /// means no record of the batch was accepted.
+    ///
+    /// The caller supplies records only. A [`Runtime`] applies them
+    /// untagged and untraced (the default [`IngestMeta`](crate::IngestMeta)
+    /// of [`Runtime::ingest_with`]); the network implementations tag and
+    /// trace each batch from their own client configuration.
     fn ingest(&mut self, batch: &[Record]) -> Result<(), Self::Error>;
 
     /// Process everything queued and return the produced alarms.

@@ -1,28 +1,9 @@
 //! Instrumentation snapshots for the serving runtime, and their
 //! Prometheus text exposition.
 
-use std::fmt::Write as _;
-
-use etsc_core::metrics::{push_scalar, HistogramSnapshot};
-
-pub use etsc_core::metrics::{push_histogram, push_histogram_series};
-
-/// Append one counter metric (`# HELP`/`# TYPE` preamble plus an
-/// unlabelled sample) in Prometheus text exposition format. Shared by
-/// every layer that exports counters — the serving runtime here, retry
-/// and failover counters in the wire crate — so all exposition text stays
-/// format-identical: this, [`push_gauge`], and the re-exported
-/// [`push_histogram`] family all delegate to the single formatting path
-/// in [`etsc_core::metrics`].
-pub fn push_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    push_scalar(out, name, help, "counter", value);
-}
-
-/// Append one gauge metric in Prometheus text exposition format. See
-/// [`push_counter`].
-pub fn push_gauge(out: &mut String, name: &str, help: &str, value: u64) {
-    push_scalar(out, name, help, "gauge", value);
-}
+use etsc_core::metrics::{
+    push_counter, push_gauge, push_histogram, push_scalar_series, HistogramSnapshot,
+};
 
 /// Counters for one shard, as of a [`stats`](crate::Runtime::stats) call.
 ///
@@ -68,7 +49,7 @@ pub struct ServeStats {
     pub pending_alarms: usize,
     /// Batches rejected under [`OverflowPolicy::Reject`](crate::OverflowPolicy::Reject).
     pub rejected_batches: u64,
-    /// Tagged batches skipped by [`ingest_tagged`](crate::Runtime::ingest_tagged)
+    /// Tagged batches skipped by [`ingest_with`](crate::Runtime::ingest_with)
     /// because the client's cursor showed them already applied — each one is
     /// a retry duplicate that exactly-once delivery absorbed.
     pub duplicate_batches: u64,
@@ -224,13 +205,19 @@ impl ServeStats {
             "Stream-migration latency (rebalance/export/import) in nanoseconds.",
             &self.migration_ns,
         );
+        let labels: Vec<String> = self
+            .shards
+            .iter()
+            .map(|s| format!("shard=\"{}\"", s.shard))
+            .collect();
         let mut labelled =
             |name: &str, help: &str, kind: &str, value: &dyn Fn(&ShardStats) -> u64| {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} {kind}");
-                for s in &self.shards {
-                    let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", s.shard, value(s));
-                }
+                let series: Vec<(&str, u64)> = labels
+                    .iter()
+                    .zip(&self.shards)
+                    .map(|(l, s)| (l.as_str(), value(s)))
+                    .collect();
+                push_scalar_series(&mut out, name, help, kind, &series);
             };
         labelled(
             "etsc_serve_shard_streams",

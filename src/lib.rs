@@ -435,10 +435,10 @@
 //!
 //! ```
 //! use etsc::core::metrics::Clock;
-//! use etsc::core::trace::{SpanKind, TraceContext, Tracer, TracerConfig};
+//! use etsc::core::trace::{Scope, SpanKind, Tracer, TracerConfig};
 //! use etsc::core::UcrDataset;
 //! use etsc::early::ects::{Ects, EctsConfig};
-//! use etsc::serve::{Record, Runtime, RuntimeConfig};
+//! use etsc::serve::{IngestMeta, Record, Runtime, RuntimeConfig};
 //!
 //! let train = UcrDataset::new(
 //!     (0..8)
@@ -465,26 +465,24 @@
 //! });
 //! rt.set_tracer(tracer.clone());
 //!
-//! // Open a root span (exactly what the net client does per batch) and
+//! // Open a root scope (exactly what the net client does per batch) and
 //! // hand its context to the runtime: enqueue and the next drain record
 //! // ShardEnqueue → ShardDrain (→ AlarmEmit per alarm) under the root.
-//! let trace_id = tracer.new_trace_id();
-//! let root = tracer.alloc_span_id();
-//! let started = tracer.start();
+//! let mut root = Scope::root(Some(&tracer), SpanKind::ClientIngest);
+//! let ctx = root.ctx();
 //! for t in 0..8 {
 //!     let batch: Vec<Record> = (0..4).map(|id| Record::new(id, t as f64)).collect();
-//!     let ctx = TraceContext { trace_id, parent_span: root };
-//!     rt.ingest_ctx(&batch, Some(ctx)).unwrap();
+//!     rt.ingest_with(&batch, IngestMeta { ctx, ..IngestMeta::default() }).unwrap();
 //!     tracer.clock().advance_ns(1_000);
 //! }
 //! rt.drain();
-//! tracer.span_with_id(root, SpanKind::ClientIngest, trace_id, 0, started, 32);
+//! root.finish(32, None);
 //!
 //! // Every span carries the trace id, parented back to the root...
 //! let spans = tracer.spans();
 //! assert!(spans.iter().any(|s| s.kind == SpanKind::ShardEnqueue));
 //! assert!(spans.iter().any(|s| s.kind == SpanKind::ShardDrain));
-//! assert!(spans.iter().all(|s| s.trace_id == trace_id));
+//! assert!(spans.iter().all(|s| Some(s.trace_id) == ctx.map(|c| c.trace_id)));
 //! assert_eq!(tracer.dropped_spans(), 0);
 //!
 //! // ...and the retained set exports as Chrome trace_event JSON.

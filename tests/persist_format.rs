@@ -18,6 +18,7 @@
 //! those bytes exactly for the scripted traffic below, and recovering from
 //! them must continue every alarm sequence.
 
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 
 use etsc::classifiers::centroid::NearestCentroid;
@@ -34,7 +35,9 @@ use etsc::early::{checkpoint_session, resume_session, EarlyClassifier, SessionNo
 use etsc::persist::{
     envelope, inspect, Encoder, ModelRegistry, Persist, PersistError, FORMAT_VERSION,
 };
-use etsc::serve::{OverflowPolicy, Record, Runtime, RuntimeConfig, StreamAlarm, SERVE_STATE_KIND};
+use etsc::serve::{
+    IngestMeta, OverflowPolicy, Record, Runtime, RuntimeConfig, StreamAlarm, SERVE_STATE_KIND,
+};
 use etsc::stream::{StreamMonitorConfig, StreamNorm};
 
 fn fixture_dir() -> PathBuf {
@@ -159,8 +162,9 @@ fn serve_head(template: &TemplateMatcher) -> (Runtime<'_, TemplateMatcher>, Vec<
     }
     let mut delivered = Vec::new();
     for t in 0..SERVE_CUT {
+        let tag = NonZeroU64::new(SERVE_CLIENT).map(|client| (client, t as u64 + 1));
         assert!(rt
-            .ingest_tagged(SERVE_CLIENT, t as u64 + 1, &serve_round(template, t))
+            .ingest_with(&serve_round(template, t), IngestMeta { tag, ctx: None })
             .unwrap());
         if t + 1 == SERVE_REBALANCE_AT {
             rt.rebalance(3).unwrap();
