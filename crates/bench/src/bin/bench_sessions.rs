@@ -24,9 +24,10 @@
 //! Each row also reports `monitor_stride16_sample_ns`: ns per sample of a
 //! [`StreamMonitor`] at anchor stride 16 over the same probe — the session
 //! fan-out a stream deployment pays, as the monitor runs it: through the
-//! model's lane block ([`EarlyClassifier::lanes`]) where it has one, one
-//! session per anchor otherwise. The fitted length exceeds the probe, so no
-//! anchor retires and up to 40 are live at once.
+//! model's lane block ([`EarlyClassifier::lanes`]), its own where it has
+//! one and a fleet of one session per anchor otherwise. The fitted length
+//! exceeds the probe and no session commits, so no anchor retires, up to 40
+//! are live at once, and the monitor never walks their statuses.
 //!
 //! Writes `BENCH_sessions.json` into the current directory.
 //!

@@ -228,12 +228,14 @@ impl Persist for CheckpointEnsemble {
         let n_classes = dec.get_usize("ensemble class count")?;
         let series_len = dec.get_usize("ensemble series_len")?;
         let lengths = dec.get_usize_vec("ensemble lengths")?;
-        if lengths.is_empty()
+        // `fit` ends the ladder at the full length, and a cursor sizes its
+        // buffer by `series_len`.
+        if lengths.last() != Some(&series_len)
             || lengths.windows(2).any(|w| w[0] >= w[1])
-            || lengths.iter().any(|&l| l == 0 || l > series_len)
+            || lengths.first() == Some(&0)
         {
             return Err(PersistError::Corrupt(
-                "ensemble: checkpoint ladder must be ascending within 1..=series_len".into(),
+                "ensemble: the checkpoint ladder must ascend from 1 up to series_len".into(),
             ));
         }
         let mut models = Vec::with_capacity(lengths.len());

@@ -2,11 +2,12 @@
 //!
 //! A stream monitor tests every candidate onset (anchor) of a stream on
 //! every sample. Each anchor is a session of its own, yet all of them see
-//! the same sample at the same time, so a fitted model can hold them as one
-//! state — one *lane* per session — and advance them in one loop
-//! ([`EarlyClassifier::lanes`]). [`DecisionLanes`] is that block. Models
-//! without one run one boxed [`DecisionSession`] per lane in a
-//! [`SessionLanes`] fleet, the generic path.
+//! the same sample at the same time, so a fitted model hands them out as
+//! one block — one *lane* per session — advanced together
+//! ([`EarlyClassifier::lanes`]). [`DecisionLanes`] is that block. A model
+//! that can hold all lanes as one state advances them in one loop; any
+//! other model's block is a [`SessionLanes`] fleet of boxed
+//! [`DecisionSession`]s, one per lane.
 //!
 //! A lane behaves exactly like the session it stands for: the same
 //! decisions, confidences and lengths after every push, and the same
@@ -18,12 +19,11 @@ use etsc_persist::{Decoder, Encoder, PersistError};
 
 use crate::{Decision, DecisionSession, EarlyClassifier, SessionNorm};
 
-/// Minimum number of lanes before a one-sample push
-/// ([`SessionLanes::push`]) is worth worker threads. The spawn round paid on
-/// *every* push costs ~10µs per worker, while a session push costs tens to
-/// hundreds of nanoseconds (O(1) bookkeeping once latched), so only dense
-/// populations — hundreds of lanes, from small anchor strides over long
-/// patterns — clear it.
+/// Minimum number of lanes before a [`SessionLanes`] push is worth worker
+/// threads. The spawn round paid on *every* push costs ~10µs per worker,
+/// while a session push costs tens to hundreds of nanoseconds (O(1)
+/// bookkeeping once latched), so only dense populations — hundreds of
+/// lanes, from small anchor strides over long patterns — clear it.
 pub(crate) const PAR_MIN_SESSIONS: usize = 512;
 
 /// What a lane reports after each push: its session's
@@ -60,8 +60,9 @@ impl LaneStatus {
 /// length alone can skip reading the statuses until that flag is set or
 /// its oldest lane is due.
 ///
-/// `Send` for the same reason as [`DecisionSession`]: a serving runtime
-/// services streams on worker threads.
+/// [`SessionLanes`] implements it for any model, over the model's boxed
+/// sessions. `Send` for the same reason as [`DecisionSession`]: a serving
+/// runtime services streams on worker threads.
 pub trait DecisionLanes: Send {
     /// Open a lane after the live ones, as a fresh session would start.
     fn open(&mut self);
@@ -93,19 +94,17 @@ pub trait DecisionLanes: Send {
     fn pooled(&self) -> usize;
 }
 
-/// The generic path: one boxed [`DecisionSession`] per lane, for models
-/// without a [`DecisionLanes`] block of their own. Retired sessions stay
-/// behind the live ones in the same buffer and are reset on reuse, so
-/// steady-state operation does not allocate. With hundreds of lanes a push
-/// fans out across worker threads (`etsc_core::parallel`, honoring
-/// `ETSC_THREADS`); sessions are independent, so statuses are identical to
-/// the serial loop.
+/// The generic block: one boxed [`DecisionSession`] per lane, the default
+/// of [`EarlyClassifier::lanes`]. Retired sessions stay behind the live
+/// ones in the same buffer and are reset on reuse, so steady-state
+/// operation does not allocate. With hundreds of lanes a push fans out
+/// across worker threads (`etsc_core::parallel`, honoring `ETSC_THREADS`);
+/// sessions are independent, so statuses and the commit flag are identical
+/// to the serial loop's.
 ///
-/// The methods mirror [`DecisionLanes`], except that a lane's status is
-/// read from its session as [`retain`](Self::retain) visits it, through a
-/// predicate the caller's compiler can inline. A monitor over thousands of
-/// streams holds this fleet by value and pays no per-lane dispatch beyond
-/// the sessions' own.
+/// Sessions latch, so a live session whose decision is a `Predict` is a
+/// live lane holding a commit: [`push`](DecisionLanes::push) reads that
+/// flag off the decisions the sessions' own pushes return.
 pub struct SessionLanes<'a, C: EarlyClassifier + ?Sized> {
     clf: &'a C,
     norm: SessionNorm,
@@ -114,6 +113,8 @@ pub struct SessionLanes<'a, C: EarlyClassifier + ?Sized> {
     sessions: Vec<Box<dyn DecisionSession + 'a>>,
     /// Number of live lanes.
     live: usize,
+    /// The statuses [`status`](DecisionLanes::status) last read.
+    status: Vec<LaneStatus>,
 }
 
 impl<'a, C: EarlyClassifier + ?Sized> SessionLanes<'a, C> {
@@ -124,11 +125,13 @@ impl<'a, C: EarlyClassifier + ?Sized> SessionLanes<'a, C> {
             norm,
             sessions: Vec::new(),
             live: 0,
+            status: Vec::new(),
         }
     }
+}
 
-    /// Open a lane after the live ones, reusing a retired session.
-    pub fn open(&mut self) {
+impl<C: EarlyClassifier + ?Sized> DecisionLanes for SessionLanes<'_, C> {
+    fn open(&mut self) {
         match self.sessions.get_mut(self.live) {
             Some(retired) => retired.reset(),
             None => self.sessions.push(self.clf.session(self.norm)),
@@ -136,29 +139,34 @@ impl<'a, C: EarlyClassifier + ?Sized> SessionLanes<'a, C> {
         self.live += 1;
     }
 
-    /// Feed `x` to every lane, oldest first.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
+    fn push(&mut self, x: f64) -> bool {
         let live = &mut self.sessions[..self.live];
         let threads = parallel::gate(live.len(), PAR_MIN_SESSIONS);
-        parallel::for_each_mut_with(threads, live, |s| {
-            s.push(x);
-        });
+        if threads > 1 {
+            parallel::for_each_mut_with(threads, live, |s| {
+                s.push(x);
+            });
+            return live.iter().any(|s| s.decision().is_predict());
+        }
+        // Every session consumes the sample: no short circuit.
+        live.iter_mut()
+            .fold(false, |committed, s| s.push(x).is_predict() | committed)
     }
 
-    /// Call `keep` once per lane, in lane order, with the lane's status,
-    /// and keep the lanes for which it returns `true`, in order. Reading
-    /// the statuses and retiring lanes is one pass.
-    #[inline]
-    pub fn retain(&mut self, mut keep: impl FnMut(&LaneStatus) -> bool) {
+    fn status(&mut self) -> &[LaneStatus] {
+        self.status.clear();
+        self.status
+            .extend(self.sessions[..self.live].iter().map(|s| LaneStatus {
+                decision: s.decision(),
+                len: s.len(),
+            }));
+        &self.status
+    }
+
+    fn retain(&mut self, keep: &[bool]) {
         let mut kept = 0;
         for lane in 0..self.live {
-            let session = &self.sessions[lane];
-            let status = LaneStatus {
-                decision: session.decision(),
-                len: session.len(),
-            };
-            if keep(&status) {
+            if keep.get(lane) != Some(&false) {
                 if kept < lane {
                     self.sessions.swap(kept, lane);
                 }
@@ -168,15 +176,11 @@ impl<'a, C: EarlyClassifier + ?Sized> SessionLanes<'a, C> {
         self.live = kept;
     }
 
-    /// As [`DecisionLanes::save_lane`]: the session's own checkpoint.
-    /// `lane` must be below the lane count.
-    pub fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError> {
+    fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError> {
         self.sessions[..self.live][lane].save_state(enc)
     }
 
-    /// As [`DecisionLanes::resume_lane`], through
-    /// [`EarlyClassifier::resume_session`].
-    pub fn resume_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
+    fn resume_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
         let session = self.clf.resume_session(self.norm, dec)?;
         self.sessions.push(session);
         let last = self.sessions.len() - 1;
@@ -185,8 +189,7 @@ impl<'a, C: EarlyClassifier + ?Sized> SessionLanes<'a, C> {
         Ok(())
     }
 
-    /// Retired sessions awaiting reuse (instrumentation).
-    pub fn pooled(&self) -> usize {
+    fn pooled(&self) -> usize {
         self.sessions.len() - self.live
     }
 }
@@ -194,52 +197,15 @@ impl<'a, C: EarlyClassifier + ?Sized> SessionLanes<'a, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsc_core::ClassLabel;
-
-    /// Commits to class 0 with confidence 1 once `commit_at` samples arrive.
-    struct FixedCommit {
-        commit_at: usize,
-    }
-
-    impl EarlyClassifier for FixedCommit {
-        fn n_classes(&self) -> usize {
-            1
-        }
-        fn series_len(&self) -> usize {
-            16
-        }
-        fn decide(&self, prefix: &[f64]) -> Decision {
-            if prefix.len() >= self.commit_at {
-                Decision::Predict {
-                    label: 0,
-                    confidence: 1.0,
-                }
-            } else {
-                Decision::Wait
-            }
-        }
-        fn predict_full(&self, _series: &[f64]) -> ClassLabel {
-            0
-        }
-    }
-
-    /// Every lane's status, in lane order, retiring none.
-    fn statuses<C: EarlyClassifier + ?Sized>(lanes: &mut SessionLanes<'_, C>) -> Vec<LaneStatus> {
-        let mut out = Vec::new();
-        lanes.retain(|s| {
-            out.push(*s);
-            true
-        });
-        out
-    }
+    use crate::tests::FixedCommit;
 
     #[test]
     fn session_lanes_open_push_retain_and_recycle() {
         let clf = FixedCommit { commit_at: 2 };
         let mut lanes = SessionLanes::new(&clf, SessionNorm::Raw);
-        assert!(statuses(&mut lanes).is_empty());
+        assert!(lanes.status().is_empty());
         lanes.open();
-        assert_eq!(statuses(&mut lanes), [LaneStatus::FRESH]);
+        assert_eq!(lanes.status(), [LaneStatus::FRESH]);
         // Stagger the lanes: lane 0 gets a head start.
         lanes.push(0.5);
         lanes.open();
@@ -249,7 +215,7 @@ mod tests {
             confidence: 1.0,
         };
         assert_eq!(
-            statuses(&mut lanes),
+            lanes.status(),
             [
                 LaneStatus {
                     decision: committed,
@@ -263,24 +229,33 @@ mod tests {
         );
         // Lane 0 latched; lane 1 commits now.
         lanes.push(0.5);
-        let now = statuses(&mut lanes);
+        let now = lanes.status();
         assert_eq!(now[0].len, 3);
         assert!(now[1].decision.is_predict());
 
-        // The predicate sees each lane once, oldest first.
-        let mut seen = Vec::new();
-        lanes.retain(|s| {
-            seen.push(s.len);
-            s.len < 3
-        });
-        assert_eq!(seen, [3, 2]);
-        assert_eq!(statuses(&mut lanes).len(), 1);
-        assert_eq!(statuses(&mut lanes)[0].len, 2, "the younger lane survives");
+        // Lanes without a flag are kept.
+        lanes.retain(&[false]);
+        assert_eq!(lanes.status().len(), 1);
+        assert_eq!(lanes.status()[0].len, 2, "the younger lane survives");
         assert_eq!(lanes.pooled(), 1);
         // The recycled session starts fresh for a new lane.
         lanes.open();
         assert_eq!(lanes.pooled(), 0);
-        assert_eq!(statuses(&mut lanes)[1], LaneStatus::FRESH);
+        assert_eq!(lanes.status()[1], LaneStatus::FRESH);
+    }
+
+    #[test]
+    fn session_lanes_push_reports_whether_a_live_lane_holds_a_commit() {
+        let clf = FixedCommit { commit_at: 3 };
+        let mut lanes = SessionLanes::new(&clf, SessionNorm::Raw);
+        lanes.open();
+        let flags: Vec<bool> = (0..3).map(|_| lanes.push(0.0)).collect();
+        assert_eq!(flags, [false, false, true], "lane 0 commits on sample 3");
+        lanes.open();
+        assert!(lanes.push(0.0), "the committed lane is still live");
+        // Retired, as a monitor retires a fired anchor, it no longer counts.
+        lanes.retain(&[false]);
+        assert!(!lanes.push(0.0));
     }
 
     #[test]
@@ -307,12 +282,20 @@ mod tests {
 
         let mut resumed = SessionLanes::new(&clf, SessionNorm::Raw);
         resumed.resume_lane(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(statuses(&mut resumed), statuses(&mut lanes));
+        assert_eq!(resumed.status(), lanes.status());
         for x in [1.0, 2.0, 3.0] {
-            lanes.push(x);
-            resumed.push(x);
-            assert_eq!(statuses(&mut resumed), statuses(&mut lanes));
+            assert_eq!(resumed.push(x), lanes.push(x));
+            assert_eq!(resumed.status(), lanes.status());
         }
+        // The rising head matched the first template from its second
+        // sample on. Resumed committed, the lane reports its commit on the
+        // first push after.
+        let mut committed = Encoder::new();
+        lanes.save_lane(0, &mut committed).unwrap();
+        let committed = committed.into_bytes();
+        let mut fresh = SessionLanes::new(&clf, SessionNorm::Raw);
+        fresh.resume_lane(&mut Decoder::new(&committed)).unwrap();
+        assert!(fresh.push(0.0));
 
         // Resumed next to a retired session, the lane still opens after the
         // live ones and the retired session stays pooled.
@@ -320,7 +303,7 @@ mod tests {
         mixed.open();
         mixed.open();
         mixed.push(0.1);
-        mixed.retain(|s| s.len == 0);
+        mixed.retain(&[false, false]);
         assert_eq!(mixed.pooled(), 2);
         mixed.open();
         mixed.push(0.1);
@@ -329,6 +312,6 @@ mod tests {
         let mut again = Encoder::new();
         mixed.save_lane(1, &mut again).unwrap();
         assert_eq!(again.into_bytes(), bytes);
-        assert_eq!(statuses(&mut mixed).len(), 2);
+        assert_eq!(mixed.status().len(), 2);
     }
 }

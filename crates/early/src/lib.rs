@@ -43,9 +43,9 @@
 //! [`EarlyClassifier::decide`] remains as the offline convenience (UCR-style
 //! evaluation queries arbitrary prefixes). The many sessions a stream
 //! monitor opens on one stream — one per candidate anchor — run as the
-//! lanes of one [`DecisionLanes`] block, one state advanced in one loop,
-//! where the model provides it ([`EarlyClassifier::lanes`], see [`lanes`]),
-//! and as boxed sessions in a generic [`SessionLanes`] fleet otherwise.
+//! lanes of one [`DecisionLanes`] block ([`EarlyClassifier::lanes`], see
+//! [`lanes`]): one state advanced in one loop where the model provides it,
+//! and a [`SessionLanes`] fleet of boxed sessions otherwise.
 
 pub mod checkpoints;
 pub mod costaware;
@@ -483,18 +483,16 @@ pub trait EarlyClassifier: Sync {
         ))
     }
 
-    /// Open an empty lane block under `norm`, if this model has one: the
-    /// live sessions of one stream, one lane each, advanced together (see
-    /// [`DecisionLanes`]).
+    /// Open an empty lane block under `norm`: the live sessions of one
+    /// stream, one lane each, advanced together (see [`DecisionLanes`]).
     ///
-    /// The default, `None`, leaves callers on the generic path: a
-    /// [`SessionLanes`] fleet of [`session`](Self::session)s, resumed
-    /// through [`resume_session`](Self::resume_session). Models that can
-    /// hold all lanes as one state override it; their lanes must decide,
-    /// count and checkpoint exactly as those sessions do.
-    fn lanes(&self, norm: SessionNorm) -> Option<Box<dyn DecisionLanes + '_>> {
-        let _ = norm;
-        None
+    /// The default is a [`SessionLanes`] fleet of
+    /// [`session`](Self::session)s, resumed through
+    /// [`resume_session`](Self::resume_session). Models that can hold all
+    /// lanes as one state override it; their lanes must decide, count and
+    /// checkpoint exactly as those sessions do.
+    fn lanes(&self, norm: SessionNorm) -> Box<dyn DecisionLanes + '_> {
+        Box::new(SessionLanes::new(self, norm))
     }
 }
 
@@ -642,17 +640,18 @@ mod tests {
         assert!(nan.decisiveness_cmp(&Decision::Wait) == Ordering::Greater);
     }
 
-    /// Commits to class 0 with confidence 1 once `commit_at` samples arrive.
-    struct FixedCommit {
-        commit_at: usize,
+    /// Commits to class 0 with confidence 1 once `commit_at` samples arrive;
+    /// a full series is 10 samples, at which it predicts class 1.
+    pub(crate) struct FixedCommit {
+        pub(crate) commit_at: usize,
     }
 
     impl EarlyClassifier for FixedCommit {
         fn n_classes(&self) -> usize {
-            1
+            2
         }
         fn series_len(&self) -> usize {
-            16
+            10
         }
         fn decide(&self, prefix: &[f64]) -> Decision {
             if prefix.len() >= self.commit_at {
@@ -665,7 +664,7 @@ mod tests {
             }
         }
         fn predict_full(&self, _series: &[f64]) -> ClassLabel {
-            0
+            1
         }
     }
 

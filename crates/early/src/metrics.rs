@@ -179,35 +179,7 @@ pub fn evaluate<C: EarlyClassifier + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Predicts class 0 as soon as the prefix reaches `commit_at` points;
-    /// mis-predicts class 1 at full length otherwise.
-    struct FixedCommit {
-        commit_at: usize,
-        len: usize,
-    }
-
-    impl EarlyClassifier for FixedCommit {
-        fn n_classes(&self) -> usize {
-            2
-        }
-        fn series_len(&self) -> usize {
-            self.len
-        }
-        fn decide(&self, prefix: &[f64]) -> Decision {
-            if prefix.len() >= self.commit_at {
-                Decision::Predict {
-                    label: 0,
-                    confidence: 1.0,
-                }
-            } else {
-                Decision::Wait
-            }
-        }
-        fn predict_full(&self, _series: &[f64]) -> usize {
-            1
-        }
-    }
+    use crate::tests::FixedCommit;
 
     fn toy_test() -> UcrDataset {
         UcrDataset::new(
@@ -219,10 +191,7 @@ mod tests {
 
     #[test]
     fn committing_classifier_uses_commit_length() {
-        let clf = FixedCommit {
-            commit_at: 4,
-            len: 10,
-        };
+        let clf = FixedCommit { commit_at: 4 };
         let ev = evaluate(&clf, &toy_test(), PrefixPolicy::Raw);
         assert_eq!(ev.instances.len(), 4);
         for r in &ev.instances {
@@ -237,10 +206,7 @@ mod tests {
 
     #[test]
     fn never_committing_classifier_falls_back() {
-        let clf = FixedCommit {
-            commit_at: 99,
-            len: 10,
-        };
+        let clf = FixedCommit { commit_at: 99 };
         let ev = evaluate(&clf, &toy_test(), PrefixPolicy::Raw);
         for r in &ev.instances {
             assert_eq!(r.length_used, 10);
@@ -254,10 +220,7 @@ mod tests {
 
     #[test]
     fn harmonic_mean_matches_formula() {
-        let clf = FixedCommit {
-            commit_at: 5,
-            len: 10,
-        };
+        let clf = FixedCommit { commit_at: 5 };
         let ev = evaluate(&clf, &toy_test(), PrefixPolicy::Raw);
         let a = ev.accuracy();
         let e = 1.0 - ev.earliness();

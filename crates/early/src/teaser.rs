@@ -551,6 +551,13 @@ impl Persist for Teaser {
             sub.finish()?;
             snapshots.push(Snapshot { len, slave, master });
         }
+        // `fit` ends the ladder at the full length, and a session sizes its
+        // buffer by `series_len`.
+        if prev_len != series_len {
+            return Err(PersistError::Corrupt(format!(
+                "teaser: the ladder ends at {prev_len}, not at series_len {series_len}"
+            )));
+        }
         Ok(Self {
             snapshots,
             v,

@@ -33,7 +33,8 @@
 //! ([`EarlyClassifier::lanes`]): one scorer state for every lane, one pass
 //! per push that applies the gate above to each lane and evaluates the
 //! softmax only where the gate cannot rule out a commit. Each lane latches,
-//! counts and checkpoints exactly as its session does.
+//! counts and checkpoints exactly as its session does. Without
+//! `score_lanes`, the lanes are a [`SessionLanes`] fleet of those sessions.
 //!
 //! The block receives `min_commit_gap(θ)` itself, so it may rule a lane out
 //! before it has a gap, with a cheaper bound that is sound under rounding
@@ -47,7 +48,7 @@ use etsc_persist::{Decoder, Encoder, Persist, PersistError};
 
 use crate::{
     expect_norm, expect_session_tag, get_decision, put_decision, put_norm, session_tags, Decision,
-    DecisionLanes, DecisionSession, EarlyClassifier, LaneStatus, SessionNorm,
+    DecisionLanes, DecisionSession, EarlyClassifier, LaneStatus, SessionLanes, SessionNorm,
 };
 
 /// State-schema tag for the buffering [`RescoreSession`] fallback.
@@ -162,9 +163,11 @@ impl<C: Classifier> EarlyClassifier for ProbThreshold<C> {
         }))
     }
 
-    fn lanes(&self, norm: SessionNorm) -> Option<Box<dyn DecisionLanes + '_>> {
-        let scores = self.inner.score_lanes(norm == SessionNorm::PerPrefix)?;
-        Some(Box::new(ProbThresholdLanes {
+    fn lanes(&self, norm: SessionNorm) -> Box<dyn DecisionLanes + '_> {
+        let Some(scores) = self.inner.score_lanes(norm == SessionNorm::PerPrefix) else {
+            return Box::new(SessionLanes::new(self, norm));
+        };
+        Box::new(ProbThresholdLanes {
             model: self,
             norm,
             scores,
@@ -173,7 +176,7 @@ impl<C: Classifier> EarlyClassifier for ProbThreshold<C> {
             committed: false,
             peak: 0,
             tops: Vec::new(),
-        }))
+        })
     }
 }
 
@@ -660,7 +663,7 @@ mod tests {
             }
             panic!("lane {lane} did not commit");
         };
-        let mut lanes = clf.lanes(SessionNorm::Raw).unwrap();
+        let mut lanes = clf.lanes(SessionNorm::Raw);
         lanes.open();
         assert!(!lanes.push(undecided), "nothing committed yet");
         let pushes = commit(lanes.as_mut(), 0);
@@ -695,7 +698,7 @@ mod tests {
         // A lane resumed committed sets the flag at once: the push after
         // it reports the commit, though it commits nothing itself.
         let bytes = saved.into_bytes();
-        let mut resumed = clf.lanes(SessionNorm::Raw).unwrap();
+        let mut resumed = clf.lanes(SessionNorm::Raw);
         resumed.open();
         resumed.resume_lane(&mut Decoder::new(&bytes)).unwrap();
         assert!(resumed.status()[1].decision.is_predict());
@@ -703,11 +706,49 @@ mod tests {
         // An uncommitted one does not.
         let mut fresh = Encoder::new();
         lanes.save_lane(1, &mut fresh).unwrap();
-        let mut other = clf.lanes(SessionNorm::Raw).unwrap();
+        let mut other = clf.lanes(SessionNorm::Raw);
         other
             .resume_lane(&mut Decoder::new(&fresh.into_bytes()))
             .unwrap();
         assert!(!other.push(undecided));
+    }
+
+    #[test]
+    fn centroid_lanes_are_one_block_not_a_session_fleet() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        /// Nearest-centroid scoring that counts the scorer sessions it opens.
+        struct Counting(NearestCentroid, AtomicUsize);
+        impl Classifier for Counting {
+            fn n_classes(&self) -> usize {
+                self.0.n_classes()
+            }
+            fn predict_proba(&self, x: &[f64]) -> Vec<f64> {
+                self.0.predict_proba(x)
+            }
+            fn score_session(&self) -> Option<Box<dyn ScoreSession + '_>> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.score_session()
+            }
+            fn score_lanes(&self, znorm: bool) -> Option<Box<dyn ScoreLanes + '_>> {
+                self.0.score_lanes(znorm)
+            }
+        }
+        let inner = Counting(NearestCentroid::fit(&toy(6, 30)), AtomicUsize::new(0));
+        let clf = ProbThreshold::new(inner, 0.8, 30, 2);
+        let opened = || clf.inner().1.load(Ordering::Relaxed);
+        let mut lanes = clf.lanes(SessionNorm::Raw);
+        for _ in 0..3 {
+            lanes.open();
+            lanes.push(2.0);
+        }
+        let mut saved = Encoder::new();
+        lanes.save_lane(0, &mut saved).unwrap();
+        let bytes = saved.into_bytes();
+        lanes.resume_lane(&mut Decoder::new(&bytes)).unwrap();
+        assert!(lanes.push(2.0));
+        assert_eq!(opened(), 0, "a session fleet opens a scorer per lane");
+        drop(clf.session(SessionNorm::Raw));
+        assert_eq!(opened(), 1, "a session opens one");
     }
 
     #[test]

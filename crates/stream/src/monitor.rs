@@ -10,23 +10,23 @@
 //!
 //! The monitor keeps only the anchor offsets, the firing and refractory
 //! rules, and retirement; it does not pool sessions itself. Each anchor is
-//! a lane: of the model's own [`DecisionLanes`] block, one state advanced
-//! in one loop, where the model provides it ([`EarlyClassifier::lanes`];
-//! `ProbThreshold<NearestCentroid>`), and otherwise of a [`SessionLanes`]
-//! fleet, one boxed [`DecisionSession`](etsc_early::DecisionSession) per
-//! anchor, which pools retired sessions so steady-state monitoring does not
-//! allocate. Either way each anchor costs one session push per sample —
-//! amortized O(1) in the anchor's age — and alarms, confidences and
-//! snapshot bytes are those of the per-anchor sessions.
+//! a lane of the model's [`DecisionLanes`] block
+//! ([`EarlyClassifier::lanes`]): one state advanced in one loop where the
+//! model provides it (`ProbThreshold<NearestCentroid>`), and otherwise a
+//! [`SessionLanes`](etsc_early::SessionLanes) fleet, one boxed
+//! [`DecisionSession`](etsc_early::DecisionSession) per anchor, which pools
+//! retired sessions so steady-state monitoring does not allocate. Either
+//! way each anchor costs one session push per sample — amortized O(1) in
+//! the anchor's age — and alarms, confidences and snapshot bytes are those
+//! of the per-anchor sessions.
 //!
-//! A lane block's push touches no lane status: it reports whether any lane
-//! holds a commit, and the monitor walks the statuses, to fire, suppress
-//! and retire, only on a commit or when its oldest anchor expires. Every
-//! lane has consumed the samples since its anchor opened, so the oldest
-//! anchor's age says whether any uncommitted lane has consumed a full
-//! pattern length; [`resume_anchors`](StreamMonitor::resume_anchors)
-//! refuses lanes for which that does not hold. A fleet's statuses are read
-//! from its sessions as it is pushed, so it is walked on every sample.
+//! A block's push touches no lane status: it reports whether any lane holds
+//! a commit, and the monitor walks the statuses, to fire, suppress and
+//! retire, only on a commit or when its oldest anchor expires. Every lane
+//! has consumed the samples since its anchor opened, so the oldest anchor's
+//! age says whether any uncommitted lane has consumed a full pattern
+//! length; [`resume_anchors`](StreamMonitor::resume_anchors) refuses lanes
+//! for which that does not hold.
 //!
 //! Alarm semantics: at most one alarm fires per sample — the oldest
 //! committed anchor, provided the monitor is outside its refractory period.
@@ -43,8 +43,8 @@
 //! (homophones).
 
 use etsc_core::ClassLabel;
-use etsc_early::{Decision, DecisionLanes, EarlyClassifier, LaneStatus, SessionLanes, SessionNorm};
-use etsc_persist::{Decoder, Encoder, PersistError};
+use etsc_early::{Decision, DecisionLanes, EarlyClassifier, LaneStatus, SessionNorm};
+use etsc_persist::{Encoder, PersistError};
 
 /// Envelope kind tag for [`StreamMonitor::snapshot_anchors`] state.
 pub const MONITOR_STATE_KIND: &str = "StreamMonitorAnchors";
@@ -142,7 +142,10 @@ pub struct StreamMonitor<'a, C: EarlyClassifier + ?Sized> {
     cfg: StreamMonitorConfig,
     /// Live anchor offsets, ascending; anchor `i` is lane `i` of `lanes`.
     anchors: Vec<usize>,
-    lanes: Lanes<'a, C>,
+    /// The model's lane block ([`EarlyClassifier::lanes`]).
+    lanes: Box<dyn DecisionLanes + 'a>,
+    /// Retirement flags, one per lane, reused by every walk.
+    keep: Vec<bool>,
     /// Absolute index of the next incoming sample.
     now: usize,
     /// The first stride boundary at or after `now`: where the next anchor
@@ -162,7 +165,8 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
             clf,
             cfg,
             anchors: Vec::new(),
-            lanes: Lanes::new(clf, cfg.norm.into()),
+            lanes: clf.lanes(cfg.norm.into()),
+            keep: Vec::new(),
             now: 0,
             next_anchor: 0,
             quiet_until: 0,
@@ -183,21 +187,16 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
 
         // One push per live lane (committed lanes are latched: their pushes
         // only count the sample while they wait to fire or be suppressed
-        // below): a lane block's here, a session fleet's in the walk below,
-        // which reads each session's status as it goes.
-        //
-        // A lane block reports whether any lane holds a commit. Without
-        // one, only uncommitted lanes that have consumed a full pattern
-        // length can retire, and the oldest lane is the longest: each lane
-        // has consumed the `now − anchor` samples since its anchor opened.
-        // So the block's statuses are walked only on a commit or when the
+        // below). The block reports whether any lane holds a commit.
+        // Without one, only uncommitted lanes that have consumed a full
+        // pattern length can retire, and the oldest lane is the longest:
+        // each lane has consumed the `now − anchor` samples since its anchor
+        // opened. So the statuses are walked only on a commit or when the
         // oldest anchor expires.
-        if let Lanes::Block(b) = &mut self.lanes {
-            let committed = b.lanes.push(x);
-            let expired = |&anchor: &usize| self.now - anchor >= max_len;
-            if !committed && !self.anchors.first().is_some_and(expired) {
-                return None;
-            }
+        let committed = self.lanes.push(x);
+        let expired = |&anchor: &usize| self.now - anchor >= max_len;
+        if !committed && !self.anchors.first().is_some_and(expired) {
+            return None;
         }
         let quiet = t < self.quiet_until;
 
@@ -241,19 +240,10 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
             }
             !retire
         };
-        match &mut self.lanes {
-            Lanes::Block(b) => {
-                let Block { lanes, keep } = &mut **b;
-                keep.clear();
-                keep.extend(lanes.status().iter().map(visit));
-                if kept < keep.len() {
-                    lanes.retain(keep);
-                }
-            }
-            Lanes::Sessions(sessions) => {
-                sessions.push(x);
-                sessions.retain(visit);
-            }
+        self.keep.clear();
+        self.keep.extend(self.lanes.status().iter().map(visit));
+        if kept < self.keep.len() {
+            self.lanes.retain(&self.keep);
         }
         self.anchors.truncate(kept);
 
@@ -279,22 +269,10 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         let Some(i) = self.anchors.iter().position(|&a| a == anchor) else {
             return false;
         };
-        match &mut self.lanes {
-            Lanes::Block(b) => {
-                let Block { lanes, keep } = &mut **b;
-                keep.clear();
-                keep.resize(self.anchors.len(), true);
-                keep[i] = false;
-                lanes.retain(keep);
-            }
-            Lanes::Sessions(sessions) => {
-                let mut lane = 0;
-                sessions.retain(|_| {
-                    lane += 1;
-                    lane != i + 1
-                });
-            }
-        }
+        self.keep.clear();
+        self.keep.resize(self.anchors.len(), true);
+        self.keep[i] = false;
+        self.lanes.retain(&self.keep);
         self.anchors.remove(i);
         true
     }
@@ -312,11 +290,10 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
     /// clock (`quiet_until`) travels with them — a snapshot taken
     /// mid-refractory stays mid-refractory.
     ///
-    /// Each anchor's state is its session's checkpoint, whether a lane
-    /// block or a session fleet holds it, so the bytes do not depend on
-    /// which. Retired lanes' storage does not travel (it holds no
-    /// observable state);
-    /// errors if any live session's type does not support checkpointing.
+    /// Each anchor's state is its session's checkpoint, whichever block
+    /// holds it, so the bytes do not depend on which. Retired lanes'
+    /// storage does not travel (it holds no observable state); errors if
+    /// any live session's type does not support checkpointing.
     ///
     /// The envelope is written by [`Encoder::try_envelope`], each anchor's
     /// session state in place as a section of it.
@@ -400,7 +377,7 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         dec.check_claim(n, 16, "monitor anchors")?;
         let mut anchors: Vec<usize> = Vec::with_capacity(n);
         // Fresh lanes, adopted only once every lane has resumed.
-        let mut lanes = Lanes::new(self.clf, self.cfg.norm.into());
+        let mut lanes = self.clf.lanes(self.cfg.norm.into());
         for _ in 0..n {
             let offset = dec.get_usize("monitor anchor offset")?;
             if offset >= now
@@ -420,20 +397,15 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         dec.finish()?;
         // Every lane has consumed the samples since its anchor opened, and
         // `push` retires lanes by that age.
-        let mut lane = 0;
-        let mut stray = None;
-        lanes.for_each_status(|s| {
-            let age = now - anchors[lane];
-            if s.len != age && stray.is_none() {
-                stray = Some((anchors[lane], s.len, age));
+        for (s, &offset) in lanes.status().iter().zip(&anchors) {
+            let age = now - offset;
+            if s.len != age {
+                return Err(PersistError::Corrupt(format!(
+                    "monitor: the lane of anchor {offset} has consumed {} samples, \
+                     not the {age} since it opened",
+                    s.len
+                )));
             }
-            lane += 1;
-        });
-        if let Some((offset, len, age)) = stray {
-            return Err(PersistError::Corrupt(format!(
-                "monitor: the lane of anchor {offset} has consumed {len} samples, \
-                 not the {age} since it opened"
-            )));
         }
         self.anchors = anchors;
         self.lanes = lanes;
@@ -458,84 +430,10 @@ impl<'a, C: EarlyClassifier + ?Sized> StreamMonitor<'a, C> {
         self.anchors.len()
     }
 
-    /// Number of retired lanes whose storage waits for reuse — pooled
-    /// sessions on the generic path (for instrumentation).
+    /// Number of retired lanes whose storage waits for reuse in the lane
+    /// block — a fleet's pooled sessions (for instrumentation).
     pub fn pooled_sessions(&self) -> usize {
         self.lanes.pooled()
-    }
-}
-
-/// A monitor's lanes: the model's own [`DecisionLanes`] block when it has
-/// one ([`EarlyClassifier::lanes`]), else a [`SessionLanes`] fleet held by
-/// value, so that the retirement pass over it is inlined. Behind a boxed
-/// block with a dynamically dispatched predicate per lane, the generic path
-/// measured ~20% slower per sample than the per-anchor loop it replaced
-/// (4096 `TemplateMatcher` streams, one or two anchors each, 2-vCPU Xeon).
-/// The block's state is boxed as well: at that stream count every byte of
-/// the monitor counted while the serve runtime kept monitors in an ordered
-/// map (padding the per-anchor monitor by 48 bytes cost ~6% of
-/// `records_per_s` on perfbench's `many-streams-checkpoint`; in the serve
-/// shard's dense slab the same padding measures within noise).
-enum Lanes<'a, C: EarlyClassifier + ?Sized> {
-    Block(Box<Block<'a>>),
-    Sessions(SessionLanes<'a, C>),
-}
-
-/// A model's lane block and its retirement flags, one per lane, reused
-/// by every walk.
-struct Block<'a> {
-    lanes: Box<dyn DecisionLanes + 'a>,
-    keep: Vec<bool>,
-}
-
-impl<'a, C: EarlyClassifier + ?Sized> Lanes<'a, C> {
-    fn new(clf: &'a C, norm: SessionNorm) -> Self {
-        match clf.lanes(norm) {
-            Some(lanes) => Self::Block(Box::new(Block {
-                lanes,
-                keep: Vec::new(),
-            })),
-            None => Self::Sessions(SessionLanes::new(clf, norm)),
-        }
-    }
-
-    fn open(&mut self) {
-        match self {
-            Self::Block(b) => b.lanes.open(),
-            Self::Sessions(sessions) => sessions.open(),
-        }
-    }
-
-    /// Call `f` with every lane's status, in lane order.
-    fn for_each_status(&mut self, mut f: impl FnMut(&LaneStatus)) {
-        match self {
-            Self::Block(b) => b.lanes.status().iter().for_each(f),
-            Self::Sessions(sessions) => sessions.retain(|s| {
-                f(s);
-                true
-            }),
-        }
-    }
-
-    fn save_lane(&self, lane: usize, enc: &mut Encoder) -> Result<(), PersistError> {
-        match self {
-            Self::Block(b) => b.lanes.save_lane(lane, enc),
-            Self::Sessions(sessions) => sessions.save_lane(lane, enc),
-        }
-    }
-
-    fn resume_lane(&mut self, dec: &mut Decoder<'_>) -> Result<(), PersistError> {
-        match self {
-            Self::Block(b) => b.lanes.resume_lane(dec),
-            Self::Sessions(sessions) => sessions.resume_lane(dec),
-        }
-    }
-
-    fn pooled(&self) -> usize {
-        match self {
-            Self::Block(b) => b.lanes.pooled(),
-            Self::Sessions(sessions) => sessions.pooled(),
-        }
     }
 }
 

@@ -71,11 +71,11 @@
 //! O(1) in the prefix length, and (under [`early::SessionNorm::Raw`])
 //! decisions reproduce `decide` exactly. No built-in algorithm falls back
 //! to whole-prefix replay under either norm. [`stream::StreamMonitor`]
-//! drives one session per candidate anchor: as the lanes of one
-//! [`early::DecisionLanes`] block per stream, one state advanced in one
-//! loop, where the model offers it ([`early::EarlyClassifier::lanes`];
-//! `ProbThreshold<NearestCentroid>`), and as boxed sessions in a generic
-//! [`early::SessionLanes`] fleet otherwise, with the same decisions and
+//! drives one session per candidate anchor, as a lane of the model's
+//! [`early::DecisionLanes`] block ([`early::EarlyClassifier::lanes`]): one
+//! state advanced in one loop where the model offers it
+//! (`ProbThreshold<NearestCentroid>`), and a generic [`early::SessionLanes`]
+//! fleet of boxed sessions otherwise, with the same decisions and
 //! checkpoint bytes either way.
 //!
 //! ```

@@ -3,11 +3,16 @@
 //! A `StreamMonitor` over `ProbThreshold<NearestCentroid>` advances a
 //! stream's anchors as one lane block (`EarlyClassifier::lanes`). The same
 //! model behind [`PerAnchor`], which forwards every method except `lanes`,
-//! drives one boxed session per anchor instead. The two must agree bit for
-//! bit: alarms with their confidence bits, `snapshot_anchors` bytes at
-//! several cut points, snapshots resumed across the two paths, anchors
-//! closed in a commit tick, and a sharded `Runtime` through a rebalance, an
-//! export → import and a checkpoint + recover.
+//! drives a session fleet, one boxed session per anchor, instead. The two
+//! must agree bit for bit: alarms with their confidence bits,
+//! `snapshot_anchors` bytes at several cut points, snapshots resumed across
+//! the two paths, anchors closed in a commit tick, and a sharded `Runtime`
+//! through a rebalance, an export → import and a checkpoint + recover.
+//!
+//! Both monitors walk their anchors only on a commit or when the oldest
+//! expires. [`Reference`] walks every anchor on every sample, and both must
+//! fire and retire as it does; so must a monitor over `TemplateMatcher`,
+//! whose lanes are a session fleet.
 //!
 //! The lane loop is compiled differently in optimized builds, so CI runs
 //! this suite under `cargo test --release` as well.
@@ -16,6 +21,7 @@ use etsc::classifiers::centroid::NearestCentroid;
 use etsc::classifiers::{argmax, Classifier};
 use etsc::core::UcrDataset;
 use etsc::datasets::random_walk::smoothed_random_walk;
+use etsc::early::template::TemplateMatcher;
 use etsc::early::threshold::ProbThreshold;
 use etsc::early::{
     Decision, DecisionSession, Decoder, EarlyClassifier, Encoder, PersistError, SessionNorm,
@@ -56,6 +62,61 @@ impl EarlyClassifier for PerAnchor {
         dec: &mut Decoder<'_>,
     ) -> Result<Box<dyn DecisionSession + '_>, PersistError> {
         self.0.resume_session(norm, dec)
+    }
+}
+
+/// The rules the monitors' walk trigger shortcuts, applied on every sample:
+/// one boxed session per anchor, each pushed every sample; the oldest
+/// committed anchor fires outside the refractory period, other committed
+/// anchors stay live outside it and retire silently inside it, and an
+/// uncommitted anchor retires once it has consumed `series_len` samples.
+struct Reference<'a> {
+    clf: &'a dyn EarlyClassifier,
+    cfg: StreamMonitorConfig,
+    anchors: Vec<(usize, Box<dyn DecisionSession + 'a>)>,
+    now: usize,
+    quiet_until: usize,
+}
+
+impl<'a> Reference<'a> {
+    fn new(clf: &'a dyn EarlyClassifier, cfg: StreamMonitorConfig) -> Self {
+        Self {
+            clf,
+            cfg,
+            anchors: Vec::new(),
+            now: 0,
+            quiet_until: 0,
+        }
+    }
+
+    fn push(&mut self, x: f64) -> Option<Alarm> {
+        let t = self.now;
+        self.now += 1;
+        if t.is_multiple_of(self.cfg.anchor_stride) {
+            let session = self.clf.session(self.cfg.norm.into());
+            self.anchors.push((t, session));
+        }
+        let (quiet, series_len) = (t < self.quiet_until, self.clf.series_len());
+        let mut fired = None;
+        self.anchors
+            .retain_mut(|(anchor, session)| match session.push(x) {
+                Decision::Predict { label, confidence } if !quiet && fired.is_none() => {
+                    let anchor = *anchor;
+                    fired = Some(Alarm {
+                        time: t,
+                        anchor,
+                        label,
+                        confidence,
+                    });
+                    false
+                }
+                Decision::Predict { .. } => !quiet,
+                Decision::Wait => session.len() < series_len,
+            });
+        if fired.is_some() {
+            self.quiet_until = t + 1 + self.cfg.refractory;
+        }
+        fired
     }
 }
 
@@ -161,31 +222,30 @@ fn cuts(n: usize) -> [usize; 3] {
     [n / 7, n / 2, n - 3]
 }
 
-/// Drive a lanes monitor and a per-anchor monitor over `xs` side by side:
-/// identical alarms after every push and identical snapshots at the cut
-/// points. At each cut, a snapshot from either path resumes on the other
-/// and must reproduce the rest of the reference alarms. Returns the alarm
-/// count.
+/// Drive a monitor over `lanes`, one over `anchors` and the [`Reference`]
+/// over `xs` side by side: identical alarms and live anchors after every
+/// push, and identical snapshots at the cut points. At each cut, a snapshot
+/// from either monitor resumes on the other and must reproduce the rest of
+/// the alarms. Returns the alarm count.
 fn assert_paths_agree(
-    lanes: &Model,
-    anchors: &PerAnchor,
+    lanes: &impl EarlyClassifier,
+    anchors: &impl EarlyClassifier,
     cfg: StreamMonitorConfig,
     xs: &[f64],
     what: &str,
 ) -> usize {
     let mut a = StreamMonitor::new(lanes, cfg);
     let mut b = StreamMonitor::new(anchors, cfg);
+    let mut r = Reference::new(anchors, cfg);
     let mut alarms = Vec::new();
     let mut snaps = Vec::new();
     for (t, &x) in xs.iter().enumerate() {
-        let (fa, fb) = (a.push(x), b.push(x));
-        assert_eq!(
-            fa.map(|f| bits(&f)),
-            fb.map(|f| bits(&f)),
-            "{what}: sample {t}"
-        );
+        let fa = a.push(x);
+        let fired = [fa, b.push(x), r.push(x)].map(|f| f.map(|f| bits(&f)));
+        assert_eq!(fired, [fired[0]; 3], "{what}: sample {t}");
         alarms.extend(fa);
-        assert_eq!(a.live_anchors(), b.live_anchors(), "{what}: sample {t}");
+        let live = [a.live_anchors(), b.live_anchors(), r.anchors.len()];
+        assert_eq!(live, [live[0]; 3], "{what}: sample {t}");
         if cuts(xs.len()).contains(&(t + 1)) {
             let (sa, sb) = (a.snapshot_anchors().unwrap(), b.snapshot_anchors().unwrap());
             assert_eq!(sa, sb, "{what}: snapshot after {} samples", t + 1);
@@ -302,6 +362,32 @@ fn lanes_match_per_anchor_sessions_at_degenerate_temperatures() {
         alarms > runs,
         "the grid must commit: {alarms} alarms over {runs} runs"
     );
+}
+
+#[test]
+fn template_fleet_matches_the_reference() {
+    // The benchmark's fleet model: class centroids as templates, the
+    // threshold at the 0.95 quantile of the training distances. Both
+    // monitors hold a fleet of its sessions.
+    let train = dataset(2, 40);
+    let threshold = TemplateMatcher::calibrate_threshold(&train, 0.95);
+    let clf = TemplateMatcher::from_centroids(&train, threshold, 20);
+    let xs = stream(&train, 1_500, 31);
+    let mut alarms = 0;
+    for norm in [StreamNorm::Raw, StreamNorm::PerPrefix] {
+        for stride in [1, 16, train.series_len()] {
+            for refractory in [0, 75] {
+                let cfg = StreamMonitorConfig {
+                    anchor_stride: stride,
+                    norm,
+                    refractory,
+                };
+                let what = format!("template, {norm:?}, stride {stride}, refractory {refractory}");
+                alarms += assert_paths_agree(&clf, &clf, cfg, &xs, &what);
+            }
+        }
+    }
+    assert!(alarms > 12, "the grid must commit: {alarms} alarms");
 }
 
 #[test]

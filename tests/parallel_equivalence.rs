@@ -115,49 +115,18 @@ fn batch_evaluation_is_thread_count_invariant() {
     }
 }
 
-/// Lanes driven alike whether a model's block or a session fleet holds
-/// them: push a sample, then read every lane's status.
-trait Drive {
-    fn open(&mut self);
-    fn push(&mut self, x: f64) -> Vec<LaneStatus>;
-}
+/// Every lane's first commit as `(lane, sample)`, what each push returned,
+/// then the final statuses.
+type Staggered = (Vec<(usize, usize)>, Vec<bool>, Vec<LaneStatus>);
 
-impl Drive for dyn DecisionLanes + '_ {
-    fn open(&mut self) {
-        DecisionLanes::open(self);
-    }
-    fn push(&mut self, x: f64) -> Vec<LaneStatus> {
-        DecisionLanes::push(self, x);
-        self.status().to_vec()
-    }
-}
-
-impl<C: EarlyClassifier + ?Sized> Drive for SessionLanes<'_, C> {
-    fn open(&mut self) {
-        SessionLanes::open(self);
-    }
-    fn push(&mut self, x: f64) -> Vec<LaneStatus> {
-        SessionLanes::push(self, x);
-        let mut statuses = Vec::new();
-        self.retain(|s| {
-            statuses.push(*s);
-            true
-        });
-        statuses
-    }
-}
-
-/// Every lane's first commit as `(lane, sample)`, then the final statuses.
-type Staggered = (Vec<(usize, usize)>, Vec<LaneStatus>);
-
-/// Drive `lanes` over `stream`: returns every lane's first commit as
-/// `(lane, sample)`, then the final statuses.
-fn drive_lanes(lanes: &mut (impl Drive + ?Sized), stream: &[f64]) -> Staggered {
+/// Drive `lanes` over `stream`, reading every lane's status after each push.
+fn drive_lanes(lanes: &mut dyn DecisionLanes, stream: &[f64]) -> Staggered {
     let mut committed = Vec::new();
     let mut events = Vec::new();
-    let mut statuses = Vec::new();
+    let mut flags = Vec::new();
     for (i, &x) in stream.iter().enumerate() {
-        statuses = lanes.push(x);
+        flags.push(lanes.push(x));
+        let statuses = lanes.status();
         committed.resize(statuses.len(), false);
         for (lane, s) in statuses.iter().enumerate() {
             if s.decision.is_predict() && !committed[lane] {
@@ -166,7 +135,7 @@ fn drive_lanes(lanes: &mut (impl Drive + ?Sized), stream: &[f64]) -> Staggered {
             }
         }
     }
-    (events, statuses)
+    (events, flags, lanes.status().to_vec())
 }
 
 #[test]
@@ -174,7 +143,8 @@ fn session_lanes_push_is_thread_count_invariant() {
     let train = train_set();
     let ects = Ects::fit(&train, &EctsConfig::default());
     let stream = smoothed_random_walk(200, 5, 11);
-    // 600 lanes: past the 512-session fan-out gate.
+    // 600 lanes: past the 512-session fan-out gate, so at t > 1 the commit
+    // flag is read after the fan-out, not from the serial loop.
     let run = |threads: usize| {
         with_threads(threads, || {
             let mut lanes = SessionLanes::new(&ects, SessionNorm::PerPrefix);
@@ -197,8 +167,9 @@ fn session_lanes_push_is_thread_count_invariant() {
 /// under per-prefix z-normalization — each driven as a 600-lane
 /// `SessionLanes` block (past the 512-session fan-out gate) at 1, 2, and 7
 /// workers. Their incremental sessions hold only per-stream state, so
-/// worker count must be a pure performance knob. The model's own lane
-/// block (`EarlyClassifier::lanes`, serial) must agree with them.
+/// worker count must be a pure performance knob. Each model's lane block
+/// (`EarlyClassifier::lanes`: the centroid block for prob-threshold, a
+/// session fleet for the rest) must agree with them.
 #[test]
 fn converted_session_combinations_are_thread_count_invariant() {
     use etsc::classifiers::centroid::NearestCentroid;
@@ -258,7 +229,7 @@ fn converted_session_combinations_are_thread_count_invariant() {
     let stream = smoothed_random_walk(150, 5, 13);
     // Stagger the lanes so blocks sit at many prefix lengths: a push after
     // every seventh open.
-    fn stagger(lanes: &mut (impl Drive + ?Sized), stream: &[f64]) -> Staggered {
+    fn stagger(lanes: &mut dyn DecisionLanes, stream: &[f64]) -> Staggered {
         for lane in 0..600 {
             lanes.open();
             if lane % 7 == 6 {
@@ -267,7 +238,6 @@ fn converted_session_combinations_are_thread_count_invariant() {
         }
         drive_lanes(lanes, stream)
     }
-    let mut blocks = 0;
     for (name, clf, norm) in combos {
         let run = |threads: usize| {
             with_threads(threads, || {
@@ -278,12 +248,12 @@ fn converted_session_combinations_are_thread_count_invariant() {
         for t in THREAD_COUNTS {
             assert_eq!(run(t), serial, "{name} at {t} threads");
         }
-        if let Some(mut block) = clf.lanes(norm) {
-            assert_eq!(stagger(block.as_mut(), &stream), serial, "{name} lanes");
-            blocks += 1;
-        }
+        assert_eq!(
+            stagger(clf.lanes(norm).as_mut(), &stream),
+            serial,
+            "{name} lanes"
+        );
     }
-    assert_eq!(blocks, 1, "prob-threshold over a centroid has a lane block");
 }
 
 /// Long-pattern detector with a cheap O(1) incremental session: commits at

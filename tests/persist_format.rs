@@ -26,10 +26,11 @@ use etsc::classifiers::gaussian::{CovarianceKind, GaussianModel};
 use etsc::classifiers::sfa::Sfa;
 use etsc::classifiers::weasel::Weasel;
 use etsc::core::UcrDataset;
+use etsc::early::ecdire::{Ecdire, EcdireConfig};
 use etsc::early::ects::{Ects, EctsConfig};
 use etsc::early::edsc::{Edsc, EdscConfig, ThresholdMethod};
 use etsc::early::relclass::{RelClass, RelClassConfig};
-use etsc::early::teaser::Teaser;
+use etsc::early::teaser::{Teaser, TeaserConfig};
 use etsc::early::template::TemplateMatcher;
 use etsc::early::{checkpoint_session, resume_session, EarlyClassifier, SessionNorm};
 use etsc::persist::{
@@ -301,11 +302,10 @@ fn golden_model_fixtures_decode_and_match_refits() {
     }
 }
 
-/// Golden fixture `name` with the u64 at payload offset `offset` set to
+/// Envelope `bytes` with the u64 at payload offset `offset` set to
 /// `value`, re-sealed so the envelope checksum still passes.
-fn forge_u64(name: &str, kind: &str, offset: usize, value: u64) -> Vec<u8> {
-    let bytes = read_fixture(name);
-    let payload_len = inspect(&bytes).unwrap().payload_len;
+fn forge_u64(bytes: &[u8], kind: &str, offset: usize, value: u64) -> Vec<u8> {
+    let payload_len = inspect(bytes).unwrap().payload_len;
     let end = bytes.len() - 8;
     let mut payload = bytes[end - payload_len..end].to_vec();
     payload[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
@@ -317,12 +317,13 @@ fn forged_model_counts_are_typed_errors() {
     // 2^30 templates or classes claimed by a payload of a few hundred
     // bytes: restore must refuse the count before sizing anything by it,
     // not abort on a 24 GiB allocation.
-    let template = forge_u64("template.etsc", TemplateMatcher::KIND, 16, 1 << 30);
+    let forge = |name, kind, at| forge_u64(&read_fixture(name), kind, at, 1 << 30);
+    let template = forge("template.etsc", TemplateMatcher::KIND, 16);
     assert!(matches!(
         TemplateMatcher::restore(&template),
         Err(PersistError::Corrupt(_))
     ));
-    let centroid = forge_u64("nearest_centroid.etsc", NearestCentroid::KIND, 8, 1 << 30);
+    let centroid = forge("nearest_centroid.etsc", NearestCentroid::KIND, 8);
     assert!(matches!(
         NearestCentroid::restore(&centroid),
         Err(PersistError::Corrupt(_))
@@ -331,17 +332,17 @@ fn forged_model_counts_are_typed_errors() {
     // `series_len`; RelClass reaches the same decoder through its model
     // section (an 8-byte length first). EDSC's feature count follows three
     // `usize` fields.
-    let gaussian = forge_u64("gaussian_full.etsc", GaussianModel::KIND, 9, 1 << 30);
+    let gaussian = forge("gaussian_full.etsc", GaussianModel::KIND, 9);
     assert!(matches!(
         GaussianModel::restore(&gaussian),
         Err(PersistError::Corrupt(_))
     ));
-    let relclass = forge_u64("relclass_diag.etsc", RelClass::KIND, 17, 1 << 30);
+    let relclass = forge("relclass_diag.etsc", RelClass::KIND, 17);
     assert!(matches!(
         RelClass::restore(&relclass),
         Err(PersistError::Corrupt(_))
     ));
-    let edsc = forge_u64("edsc_che.etsc", Edsc::KIND, 24, 1 << 30);
+    let edsc = forge("edsc_che.etsc", Edsc::KIND, 24);
     assert!(matches!(
         Edsc::restore(&edsc),
         Err(PersistError::Corrupt(_))
@@ -397,6 +398,31 @@ fn forged_teaser_weasel_and_sfa_counts_are_typed_errors() {
         Teaser::restore(&teaser),
         Err(PersistError::Corrupt(_))
     ));
+}
+
+#[test]
+fn forged_series_lens_are_typed_errors() {
+    // `fit` ends the ladder at `series_len`, and a session sizes its buffer
+    // by it: a larger one must fail the restore, not the first `session()`.
+    // Teaser's follows two `usize` fields; ECDIRE's sits in its ensemble
+    // section, behind the section length and the class count.
+    let train = fixture_train();
+    let teaser = Teaser::fit(&train, &TeaserConfig::fast()).snapshot();
+    let ecdire = Ecdire::fit(&train, &EcdireConfig::default()).snapshot();
+    for series_len in [u64::MAX, 1 << 40] {
+        let forged = forge_u64(&teaser, Teaser::KIND, 16, series_len);
+        assert!(matches!(
+            Teaser::restore(&forged),
+            Err(PersistError::Corrupt(_))
+        ));
+        let forged = forge_u64(&ecdire, Ecdire::KIND, 16, series_len);
+        assert!(matches!(
+            Ecdire::restore(&forged),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+    Teaser::restore(&teaser).unwrap().session(SessionNorm::Raw);
+    Ecdire::restore(&ecdire).unwrap().session(SessionNorm::Raw);
 }
 
 #[test]
